@@ -21,7 +21,6 @@
 //! exploit).
 
 use kya_arith::{BigInt, BigRational};
-use kya_runtime::faults::FaultAwareIsotropic;
 use kya_runtime::{FlatAlgorithm, IsotropicAlgorithm};
 use std::collections::BTreeMap;
 
@@ -138,17 +137,17 @@ impl FlatAlgorithm for PushSum {
 // ---------------------------------------------------------------------
 
 /// Push-Sum with a link-layer bounce handler: the same dynamics as
-/// [`PushSum`], plus
-/// [`FaultAwareIsotropic::reabsorb`](kya_runtime::faults::FaultAwareIsotropic)
-/// folding undelivered shares back into the sender's masses.
+/// [`PushSum`], plus [`IsotropicAlgorithm::reabsorb`] folding
+/// undelivered shares back into the sender's masses.
 ///
 /// Why this matters: Push-Sum conserves `Σ y` and `Σ z` because the
 /// rescattering matrix is column-stochastic — every share the sender
 /// splits off lands *somewhere*. Under message loss
-/// ([`kya_runtime::faults::FaultyExecution`]) a dropped share lands
-/// nowhere and the invariant breaks permanently: plain Push-Sum then
+/// ([`RunConfig::faults`](kya_runtime::RunConfig::faults)) a dropped
+/// share lands nowhere and the invariant breaks permanently: plain
+/// Push-Sum, which keeps the default discarding `reabsorb`, then
 /// converges to the quot-sum of whatever mass survived, which is wrong
-/// (the [`kya_runtime::faults::Lossy`] negative control exhibits this).
+/// (the F6 negative control exhibits this).
 /// Re-absorbing the bounced share restores column-stochasticity of the
 /// *effective* rescattering — the lost fraction simply stays with the
 /// sender for one round — so both totals are conserved through arbitrary
@@ -158,17 +157,16 @@ impl FlatAlgorithm for PushSum {
 /// ```
 /// use kya_algos::push_sum::{total_mass, PushSumState, SelfHealingPushSum};
 /// use kya_graph::{generators, StaticGraph};
-/// use kya_runtime::faults::{FaultPlan, FaultyExecution};
-/// use kya_runtime::{Isotropic, RunConfig};
+/// use kya_runtime::faults::FaultPlan;
+/// use kya_runtime::{Execution, Isotropic, RunConfig};
 ///
 /// let net = StaticGraph::new(generators::directed_ring(4));
 /// let plan = FaultPlan::new(9).drop_links(0.3).until(30);
-/// let mut exec = FaultyExecution::new(
+/// let mut exec = Execution::new(
 ///     Isotropic(SelfHealingPushSum),
 ///     PushSumState::averaging(&[0.0, 4.0, 0.0, 0.0]),
-///     plan,
 /// );
-/// exec.drive(&net, RunConfig::rounds(300));
+/// exec.drive(&net, RunConfig::rounds(300).faults(&plan));
 /// let (y, z) = total_mass(exec.states());
 /// assert!((y - 4.0).abs() < 1e-9 && (z - 4.0).abs() < 1e-9);
 /// assert!(exec.outputs().iter().all(|x| (x - 1.0).abs() < 1e-9));
@@ -189,12 +187,6 @@ impl IsotropicAlgorithm for SelfHealingPushSum {
         IsotropicAlgorithm::transition(&PushSum, state, inbox)
     }
 
-    fn output(&self, state: &PushSumState) -> f64 {
-        IsotropicAlgorithm::output(&PushSum, state)
-    }
-}
-
-impl FaultAwareIsotropic for SelfHealingPushSum {
     fn reabsorb(&self, state: &PushSumState, lost: &[(f64, f64)]) -> PushSumState {
         let mut next = *state;
         for &(ys, zs) in lost {
@@ -202,6 +194,10 @@ impl FaultAwareIsotropic for SelfHealingPushSum {
             next.z += zs;
         }
         next
+    }
+
+    fn output(&self, state: &PushSumState) -> f64 {
+        IsotropicAlgorithm::output(&PushSum, state)
     }
 }
 
@@ -577,7 +573,7 @@ mod tests {
     use super::*;
     use kya_graph::{generators, DynamicGraph, RandomDynamicGraph, StaticGraph};
     use kya_runtime::adversary::AsyncStarts;
-    use kya_runtime::faults::{FaultPlan, FaultyExecution, Lossy};
+    use kya_runtime::faults::FaultPlan;
     use kya_runtime::RunConfig;
     use kya_runtime::{Execution, Isotropic};
 
@@ -696,15 +692,15 @@ mod tests {
         let n = values.len();
         let net = StaticGraph::new(generators::bidirectional_ring(n));
         let plan = FaultPlan::new(42).drop_links(0.3).until(60);
-        let mut exec = FaultyExecution::new(
+        let mut exec = Execution::new(
             Isotropic(SelfHealingPushSum),
             PushSumState::averaging(&values),
-            plan,
         );
         let y0: f64 = values.iter().sum();
+        let mut dropped = 0;
         for _ in 0..500u64 {
-            let g = net.graph(exec.round() + 1);
-            exec.step(&g);
+            let report = exec.drive(&net, RunConfig::rounds(1).faults(&plan));
+            dropped += report.events.dropped;
             let (y, z) = total_mass(exec.states());
             assert!(
                 (y - y0).abs() < 1e-9 && (z - n as f64).abs() < 1e-9,
@@ -712,7 +708,7 @@ mod tests {
                 exec.round()
             );
         }
-        assert!(exec.events().dropped > 0, "the plan did inject drops");
+        assert!(dropped > 0, "the plan did inject drops");
         let avg = y0 / n as f64;
         for x in exec.outputs() {
             assert!((x - avg).abs() < 1e-9, "{x} != {avg}");
@@ -727,18 +723,18 @@ mod tests {
         let values = [10.0, 0.0, 0.0, 0.0, 0.0];
         let net = StaticGraph::new(generators::complete(5));
         let plan = FaultPlan::new(7).crash(0, 5..25);
-        let mut exec = FaultyExecution::new(
+        let mut exec = Execution::new(
             Isotropic(SelfHealingPushSum),
             PushSumState::averaging(&values),
-            plan,
         );
+        let mut bounced = 0;
         for _ in 0..400u64 {
-            let g = net.graph(exec.round() + 1);
-            exec.step(&g);
+            let report = exec.drive(&net, RunConfig::rounds(1).faults(&plan));
+            bounced += report.events.bounced_to_crashed;
             let (y, z) = total_mass(exec.states());
             assert!((y - 10.0).abs() < 1e-9 && (z - 5.0).abs() < 1e-9);
         }
-        assert!(exec.events().bounced_to_crashed > 0);
+        assert!(bounced > 0);
         for x in exec.outputs() {
             assert!((x - 2.0).abs() < 1e-9, "{x}");
         }
@@ -747,19 +743,16 @@ mod tests {
     #[test]
     fn plain_push_sum_leaks_mass_under_drops() {
         // Negative control: identical fault pattern, but the bounced
-        // shares are discarded (Lossy). The conserved quantity decays
+        // shares are discarded (plain Push-Sum keeps the default
+        // `reabsorb`). The conserved quantity decays
         // and never comes back: the deficit persists long after the
         // faults cease.
         let values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
         let n = values.len();
         let net = StaticGraph::new(generators::bidirectional_ring(n));
         let plan = FaultPlan::new(42).drop_links(0.3).until(60);
-        let mut exec = FaultyExecution::new(
-            Lossy(Isotropic(PushSum)),
-            PushSumState::averaging(&values),
-            plan,
-        );
-        exec.drive(&net, RunConfig::rounds(500));
+        let mut exec = Execution::new(Isotropic(PushSum), PushSumState::averaging(&values));
+        exec.drive(&net, RunConfig::rounds(500).faults(&plan));
         let (_, z) = total_mass(exec.states());
         let deficit = n as f64 - z;
         assert!(

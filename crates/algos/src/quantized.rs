@@ -38,7 +38,6 @@
 //! [`RunConfig::bandwidth`]: kya_runtime::RunConfig::bandwidth
 
 use crate::push_sum::PushSumState;
-use kya_runtime::faults::FaultAwareIsotropic;
 use kya_runtime::{FlatAlgorithm, IsotropicAlgorithm, MessageCodec};
 
 /// Reinterpret a token lane as a count: the dynamics keep every lane a
@@ -67,9 +66,9 @@ fn tokens(lane: f64) -> u64 {
 /// receives its own self-loop share back, so the output never divides
 /// by zero.
 ///
-/// Under message faults it is self-healing ([`FaultAwareIsotropic`]):
-/// bounced shares are integer token parcels and reabsorbing them
-/// restores the sum exactly.
+/// Under message faults it is self-healing
+/// ([`IsotropicAlgorithm::reabsorb`]): bounced shares are integer token
+/// parcels and reabsorbing them restores the sum exactly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QuantizedPushSum {
     codec: MessageCodec,
@@ -178,12 +177,6 @@ impl IsotropicAlgorithm for QuantizedPushSum {
         }
     }
 
-    fn output(&self, state: &PushSumState) -> f64 {
-        state.y / state.z
-    }
-}
-
-impl FaultAwareIsotropic for QuantizedPushSum {
     fn reabsorb(&self, state: &PushSumState, lost: &[(f64, f64)]) -> PushSumState {
         let mut y = tokens(state.y);
         let mut z = tokens(state.z);
@@ -195,6 +188,10 @@ impl FaultAwareIsotropic for QuantizedPushSum {
             y: y as f64,
             z: z as f64,
         }
+    }
+
+    fn output(&self, state: &PushSumState) -> f64 {
+        state.y / state.z
     }
 }
 
@@ -424,7 +421,7 @@ impl FlatAlgorithm for QuantizedMetropolis {
 mod tests {
     use super::*;
     use kya_graph::{generators, Digraph, StaticGraph};
-    use kya_runtime::faults::{FaultPlan, FaultyExecution};
+    use kya_runtime::faults::FaultPlan;
     use kya_runtime::{BandwidthCap, ByteLedger, Execution, Isotropic, RunConfig};
 
     fn biring(n: usize) -> Digraph {
@@ -494,8 +491,8 @@ mod tests {
         let before = QuantizedPushSum::total_tokens(&states);
         let g = generators::random_strongly_connected(5, 6, 3).with_self_loops();
         let plan = FaultPlan::new(0xfeed).drop_links(0.3).until(60);
-        let mut exec = FaultyExecution::new(Isotropic(algo), states, plan);
-        let report = exec.drive(&StaticGraph::new(g), RunConfig::rounds(60));
+        let mut exec = Execution::new(Isotropic(algo), states);
+        let report = exec.drive(&StaticGraph::new(g), RunConfig::rounds(60).faults(&plan));
         assert!(report.events.dropped > 0, "plan injected no drops");
         assert_eq!(QuantizedPushSum::total_tokens(exec.states()), before);
     }
@@ -520,8 +517,13 @@ mod tests {
         let net = ChurnMasked::new(StaticGraph::new(biring(6)), membership.clone());
         let plan = FaultPlan::new(0xbeef).drop_links(0.3).until(40);
         let keep = |_: usize, parked: &PushSumState| *parked;
-        let mut exec = FaultyExecution::new(Isotropic(algo), states, plan);
-        let report = exec.drive(&net, RunConfig::rounds(50).membership(&membership, &keep));
+        let mut exec = Execution::new(Isotropic(algo), states);
+        let report = exec.drive(
+            &net,
+            RunConfig::rounds(50)
+                .membership(&membership, &keep)
+                .faults(&plan),
+        );
         assert!(report.events.dropped > 0, "plan injected no drops");
         assert_eq!(QuantizedPushSum::total_tokens(exec.states()), before);
     }

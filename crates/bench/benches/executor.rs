@@ -3,11 +3,14 @@
 //! dominates the thread handoff). The `counting_observer` entries price
 //! the telemetry layer: `sequential` is the `NullObserver`-monomorphized
 //! path, so any gap between the two is exactly the opt-in observer cost.
+//! The `faulted` entries price the route's fault stage under a drop,
+//! duplication and crash plan.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kya_algos::gossip::SetGossip;
 use kya_graph::{generators, DynamicGraph, StaticGraph};
-use kya_runtime::{Broadcast, CountingObserver, Execution};
+use kya_runtime::faults::FaultPlan;
+use kya_runtime::{Broadcast, CountingObserver, Execution, RunConfig};
 use std::time::Duration;
 
 fn bench_step(c: &mut Criterion) {
@@ -17,6 +20,11 @@ fn bench_step(c: &mut Criterion) {
         .sample_size(10);
     for n in [32usize, 128] {
         let g = generators::random_strongly_connected(n, 2 * n, 5).with_self_loops();
+        let net = StaticGraph::new(g.clone());
+        let plan = FaultPlan::new(5)
+            .drop_links(0.2)
+            .duplicate(0.1)
+            .crash(0, 5..10);
         let inits: Vec<Vec<u64>> = (0..n as u64).map(|v| vec![v % 16]).collect();
         group.bench_with_input(BenchmarkId::new("sequential", n), &n, |b, _| {
             b.iter(|| {
@@ -40,10 +48,16 @@ fn bench_step(c: &mut Criterion) {
             b.iter(|| {
                 let mut exec = Execution::new(Broadcast(SetGossip), inits.clone());
                 let mut obs = CountingObserver::new();
-                for _ in 0..20 {
-                    exec.step_observed(&g, &mut obs);
-                }
+                exec.drive(&net, RunConfig::rounds(20).observer(&mut obs));
                 obs.summary().messages
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("faulted", n), &n, |b, _| {
+            b.iter(|| {
+                let mut exec = Execution::new(Broadcast(SetGossip), inits.clone());
+                exec.drive(&net, RunConfig::rounds(20).faults(&plan))
+                    .events
+                    .dropped
             })
         });
     }

@@ -1,7 +1,7 @@
 //! **F4** — the §5 averaging family compared on random symmetric
 //! dynamic networks, with and without asynchronous starts. The
 //! algorithm axis carries the five §5 update rules; cells measure
-//! rounds to a stable 1e-9 ε-ball via `run_until_converged`.
+//! rounds to a stable 1e-9 ε-ball via a confirmed measured `drive`.
 
 use super::{dynamic_net, observed_convergence, Experiment};
 use kya_algos::metropolis::{FixedWeight, LazyMetropolis, Metropolis};

@@ -2,7 +2,7 @@
 //! (gaps 2, 4, 8, …) that is never permanently split but has no finite
 //! dynamic diameter. Cells run the full horizon and sample the
 //! worst-case error at exponentially spaced checkpoints from the
-//! round-by-round trace `run_until` records.
+//! round-by-round trace a measured `drive` records.
 
 use super::{dynamic_net, Experiment};
 use kya_algos::metropolis::{FixedWeight, Metropolis};

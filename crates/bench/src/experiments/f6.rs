@@ -12,10 +12,9 @@ use super::{f64_list_flag, Experiment};
 use kya_algos::push_sum::{total_mass, PushSum, PushSumState, SelfHealingPushSum};
 use kya_graph::StaticGraph;
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, PlanSpec, ResultSink, SpecError};
-use kya_runtime::faults::{FaultyExecution, Lossy};
 use kya_runtime::metric::EuclideanMetric;
-use kya_runtime::Isotropic;
 use kya_runtime::RunConfig;
+use kya_runtime::{Execution, Isotropic};
 
 /// The F6 registry entry.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -65,28 +64,23 @@ fn cell(ctx: &CellCtx) -> CellOutcome {
     let plan = ctx.fault_plan();
     // z mass starts (and must stay) at n: the signed deficit is n - Σz.
     let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
+    let states = PushSumState::averaging(&values);
     let report = match ctx.cell.algorithm.as_str() {
-        "healing" => FaultyExecution::new(
-            Isotropic(SelfHealingPushSum),
-            PushSumState::averaging(&values),
-            plan,
-        )
-        .drive(
+        "healing" => Execution::new(Isotropic(SelfHealingPushSum), states).drive(
             &net,
             RunConfig::rounds(ctx.rounds())
                 .measure(&EuclideanMetric, &target, ctx.eps())
-                .invariant(&z_deficit),
+                .invariant(&z_deficit)
+                .faults(&plan),
         ),
-        "plain" => FaultyExecution::new(
-            Lossy(Isotropic(PushSum)),
-            PushSumState::averaging(&values),
-            plan,
-        )
-        .drive(
+        // The negative control: plain Push-Sum keeps the default
+        // `reabsorb`, which discards bounced shares.
+        "plain" => Execution::new(Isotropic(PushSum), states).drive(
             &net,
             RunConfig::rounds(ctx.rounds())
                 .measure(&EuclideanMetric, &target, ctx.eps())
-                .invariant(&z_deficit),
+                .invariant(&z_deficit)
+                .faults(&plan),
         ),
         other => panic!("unknown f6 algorithm `{other}`"),
     };

@@ -5,7 +5,7 @@
 //! Metropolis. The question mirrors Table 1/Table 2: which cells still
 //! *stabilize* once the audience itself churns — convergence only counts
 //! strictly after the last fault **or churn transition** (the
-//! quiescence-aware report of `run_with_recovery_churned`).
+//! quiescence-aware report of a churned, faulted `drive`).
 //!
 //! All randomness (matchings, fault coins) derives from the per-cell
 //! seed, and churn scripts ride the variant axis as parseable labels, so
@@ -19,10 +19,9 @@ use kya_algos::push_sum::{total_mass, PushSumState, SelfHealingPushSum};
 use kya_harness::SpecError;
 use kya_harness::{Args, CellCtx, CellOutcome, ChurnSpec, ExperimentSpec, PlanSpec, ResultSink};
 use kya_runtime::churn::ChurnMasked;
-use kya_runtime::faults::{FaultyExecution, Lossy};
 use kya_runtime::metric::EuclideanMetric;
-use kya_runtime::Isotropic;
 use kya_runtime::RunConfig;
+use kya_runtime::{Execution, Isotropic};
 
 /// The F8 registry entry.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -86,24 +85,26 @@ fn cell(ctx: &CellCtx) -> CellOutcome {
             // initial state; the z ledger shift shows up in the deficit.
             let reinit = |v: usize, _parked: &PushSumState| fresh[v];
             let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
-            FaultyExecution::new(Isotropic(SelfHealingPushSum), fresh.clone(), plan).drive(
+            Execution::new(Isotropic(SelfHealingPushSum), fresh.clone()).drive(
                 &stack,
                 RunConfig::rounds(ctx.rounds())
                     .membership(&membership, &reinit)
                     .measure(&EuclideanMetric, &target, ctx.eps())
-                    .invariant(&z_deficit),
+                    .invariant(&z_deficit)
+                    .faults(&plan),
             )
         }
         "metropolis" => {
             let reinit = |v: usize, _parked: &f64| values[v];
             let x0: f64 = values.iter().sum();
             let x_deficit = move |states: &[f64]| x0 - states.iter().sum::<f64>();
-            FaultyExecution::new(Lossy(Isotropic(Metropolis)), values.clone(), plan).drive(
+            Execution::new(Isotropic(Metropolis), values.clone()).drive(
                 &stack,
                 RunConfig::rounds(ctx.rounds())
                     .membership(&membership, &reinit)
                     .measure(&EuclideanMetric, &target, ctx.eps())
-                    .invariant(&x_deficit),
+                    .invariant(&x_deficit)
+                    .faults(&plan),
             )
         }
         other => panic!("unknown f8 algorithm `{other}`"),

@@ -70,7 +70,6 @@ use kya_fibration::MinimumBase;
 use kya_graph::{connectivity, Digraph, RandomDynamicGraph, StaticGraph};
 use kya_harness::{Args, CellOutcome, ChurnSpec, ExperimentSpec, PlanSpec, Runner, TelemetryMode};
 use kya_runtime::churn::ChurnMasked;
-use kya_runtime::faults::{FaultyExecution, Lossy};
 use kya_runtime::metric::EuclideanMetric;
 use kya_runtime::{BandwidthCap, Broadcast, ByteLedger, Execution, Isotropic, RunConfig};
 use spec::{parse_graph, parse_values, SpecError};
@@ -330,6 +329,20 @@ fn parse_crashes(spec: &str, n: usize, mut plan: PlanSpec) -> Result<PlanSpec, S
     Ok(plan)
 }
 
+/// The `--until` fault horizon: probabilistic faults cease after it so
+/// "rounds to recover after the last fault" is well defined. Defaults to
+/// half the run (at least round 1); an explicit 0 is rejected — a plan
+/// whose faults cease before round 1 is a quiescent plan, not a horizon.
+fn fault_horizon(args: &Args, rounds: u64) -> Result<u64, SpecError> {
+    let horizon = args.u64_flag("until", (rounds / 2).max(1))?;
+    if horizon == 0 {
+        return Err(SpecError(
+            "--until must be at least 1 (rounds are numbered from 1)".into(),
+        ));
+    }
+    Ok(horizon)
+}
+
 /// The F6 one-off: a single-cell harness sweep over the scripted fault
 /// plan, reported as a [`kya_runtime::CellReport`].
 fn cmd_faults(args: &Args) -> Result<(), SpecError> {
@@ -346,9 +359,7 @@ fn cmd_faults(args: &Args) -> Result<(), SpecError> {
     let rounds = args.u64_flag("rounds", 300)?.max(1);
     let seed = args.u64_flag("seed", 42)?;
     let eps = args.f64_flag("eps", 1e-6)?;
-    // Probabilistic faults cease at the horizon (default: half the run)
-    // so "rounds to recover after the last fault" is well defined.
-    let horizon = args.u64_flag("until", rounds / 2)?.max(1);
+    let horizon = fault_horizon(args, rounds)?;
     let mut plan = PlanSpec::quiescent().until(horizon).with_seed(seed);
     if drop_p > 0.0 {
         plan = plan.drop_links(drop_p);
@@ -378,19 +389,22 @@ fn cmd_faults(args: &Args) -> Result<(), SpecError> {
         let states = PushSumState::averaging(&inputs);
         // z mass starts (and must stay) at n: the signed deficit is n - Σz.
         let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
+        let plan = ctx.fault_plan();
         let report = if plain {
-            FaultyExecution::new(Lossy(Isotropic(PushSum)), states, ctx.fault_plan()).drive(
+            Execution::new(Isotropic(PushSum), states).drive(
                 &net,
                 RunConfig::rounds(ctx.rounds())
                     .measure(&EuclideanMetric, &target, ctx.eps())
-                    .invariant(&z_deficit),
+                    .invariant(&z_deficit)
+                    .faults(&plan),
             )
         } else {
-            FaultyExecution::new(Isotropic(SelfHealingPushSum), states, ctx.fault_plan()).drive(
+            Execution::new(Isotropic(SelfHealingPushSum), states).drive(
                 &net,
                 RunConfig::rounds(ctx.rounds())
                     .measure(&EuclideanMetric, &target, ctx.eps())
-                    .invariant(&z_deficit),
+                    .invariant(&z_deficit)
+                    .faults(&plan),
             )
         };
         CellOutcome::new().report(report)
@@ -616,7 +630,7 @@ fn cmd_churn(args: &Args) -> Result<(), SpecError> {
     let rounds = args.u64_flag("rounds", 300)?.max(1);
     let seed = args.u64_flag("seed", 42)?;
     let eps = args.f64_flag("eps", 1e-6)?;
-    let horizon = args.u64_flag("until", rounds / 2)?.max(1);
+    let horizon = fault_horizon(args, rounds)?;
     let mut plan = PlanSpec::quiescent().until(horizon).with_seed(seed);
     if drop_p > 0.0 {
         plan = plan.drop_links(drop_p);
@@ -642,39 +656,32 @@ fn cmd_churn(args: &Args) -> Result<(), SpecError> {
             .build(ctx.cell.cell_seed)
             .membership(n);
         let stack = ChurnMasked::new(net, membership.clone());
+        let plan = ctx.fault_plan();
         let report = match ctx.cell.algorithm.as_str() {
             "healing" => {
                 let fresh = PushSumState::averaging(&inputs);
                 let reinit = |v: usize, _parked: &PushSumState| fresh[v];
                 let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
-                FaultyExecution::new(
-                    Isotropic(SelfHealingPushSum),
-                    fresh.clone(),
-                    ctx.fault_plan(),
-                )
-                .drive(
+                Execution::new(Isotropic(SelfHealingPushSum), fresh.clone()).drive(
                     &stack,
                     RunConfig::rounds(ctx.rounds())
                         .membership(&membership, &reinit)
                         .measure(&EuclideanMetric, &target, ctx.eps())
-                        .invariant(&z_deficit),
+                        .invariant(&z_deficit)
+                        .faults(&plan),
                 )
             }
             _ => {
                 let reinit = |v: usize, _parked: &f64| inputs[v];
                 let x0: f64 = inputs.iter().sum();
                 let x_deficit = move |states: &[f64]| x0 - states.iter().sum::<f64>();
-                FaultyExecution::new(
-                    Lossy(Isotropic(Metropolis)),
-                    inputs.clone(),
-                    ctx.fault_plan(),
-                )
-                .drive(
+                Execution::new(Isotropic(Metropolis), inputs.clone()).drive(
                     &stack,
                     RunConfig::rounds(ctx.rounds())
                         .membership(&membership, &reinit)
                         .measure(&EuclideanMetric, &target, ctx.eps())
-                        .invariant(&x_deficit),
+                        .invariant(&x_deficit)
+                        .faults(&plan),
                 )
             }
         };
@@ -1053,6 +1060,23 @@ mod tests {
         assert!(a
             .reject_unknown("kya minbase", &["graph", "values"])
             .is_ok());
+    }
+
+    #[test]
+    fn zero_fault_horizon_is_rejected() {
+        let a = args(&[
+            "--graph", "ring:4", "--values", "1,2,3,4", "--drop", "0.2", "--until", "0",
+        ]);
+        let err = cmd_faults(&a).unwrap_err();
+        assert!(err.0.contains("--until"), "{err}");
+        let a = args(&["--n", "4", "--values", "1x4", "--until", "0"]);
+        let err = cmd_churn(&a).unwrap_err();
+        assert!(err.0.contains("--until"), "{err}");
+        // The default horizon is still clamped to round 1 on a 1-round run.
+        let a = args(&["--rounds", "1"]);
+        assert_eq!(fault_horizon(&a, 1).unwrap(), 1);
+        let a = args(&["--until", "7"]);
+        assert_eq!(fault_horizon(&a, 300).unwrap(), 7);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use kya_arith::{BigInt, BigRational};
 use kya_graph::{Digraph, DynamicGraph, StaticGraph};
 use kya_harness::{parse_graph, CellCtx, CellOutcome, ChurnSpec};
 use kya_runtime::churn::ChurnMasked;
-use kya_runtime::faults::{FaultPlan, FaultyExecution, FaultyNetwork, Lossy};
+use kya_runtime::faults::{FaultPlan, FaultyNetwork};
 use kya_runtime::metric::EuclideanMetric;
 use kya_runtime::telemetry::{CountingObserver, NullObserver, Observer};
 use kya_runtime::{
@@ -171,12 +171,12 @@ fn fail(msg: impl Into<String>) -> CellOutcome {
 // (b) Path agreement
 // ---------------------------------------------------------------------
 
-/// Run the five entry points side by side and demand bit-identical
-/// global states after every round: `step` (the reference), the
-/// destination-sharded `step_parallel`, `step_observed`, the sequential-
-/// routing `step_parallel_observed`, and `FaultyExecution` under a
-/// quiescent plan. f64 `Debug` is shortest-roundtrip, so equal renderings
-/// mean equal bit patterns.
+/// Run five schedules of the one round side by side and demand
+/// bit-identical global states after every round: `step` (the
+/// reference), the sharded `step_parallel`, an observed `drive`, an
+/// observed sharded `drive`, and a `drive` under a quiescent fault plan.
+/// f64 `Debug` is shortest-roundtrip, so equal renderings mean equal bit
+/// patterns.
 fn paths_agree<A>(
     algo: A,
     inits: Vec<A::State>,
@@ -192,21 +192,25 @@ where
     let mut par = Execution::new(algo.clone(), inits.clone());
     let mut obs = Execution::new(algo.clone(), inits.clone());
     let mut par_obs = Execution::new(algo.clone(), inits.clone());
-    let mut faulty = FaultyExecution::new(Lossy(algo), inits, FaultPlan::new(0));
+    let mut faulty = Execution::new(algo, inits);
+    let quiescent = FaultPlan::new(0);
     let mut counter = CountingObserver::new();
     let mut fp = Fingerprint::new();
     for t in 1..=rounds {
         let g = net.graph_ref(t);
         seq.step(&g);
         par.step_parallel(&g, 3);
-        obs.step_observed(&g, &mut counter);
-        par_obs.step_parallel_observed(&g, 2, &mut NullObserver);
-        faulty.step(&g);
+        obs.drive(net, RunConfig::rounds(1).observer(&mut counter));
+        par_obs.drive(
+            net,
+            RunConfig::rounds(1).threads(2).observer(&mut NullObserver),
+        );
+        faulty.drive(net, RunConfig::rounds(1).faults(&quiescent));
         let canon = format!("{:?}", seq.states());
         let others = [
             ("step_parallel", format!("{:?}", par.states())),
-            ("step_observed", format!("{:?}", obs.states())),
-            ("step_parallel_observed", format!("{:?}", par_obs.states())),
+            ("drive_observed", format!("{:?}", obs.states())),
+            ("drive_parallel_observed", format!("{:?}", par_obs.states())),
             ("faulty_quiescent", format!("{:?}", faulty.states())),
         ];
         for (name, rendered) in others {
@@ -1133,17 +1137,19 @@ fn check_mass(ctx: &CellCtx) -> CellOutcome {
             }
             CellOutcome::new().ok(true)
         }
-        // Message-level faults (FaultyExecution): dropped shares bounce
-        // back to the sender and SelfHealingPushSum reabsorbs them, so
-        // f64 mass is conserved up to accumulated rounding.
+        // Message-level faults (the `faults` knob): dropped shares
+        // bounce back to the sender and SelfHealingPushSum reabsorbs
+        // them, so f64 mass is conserved up to accumulated rounding.
         "healing-message-faults" => {
             let floats: Vec<f64> = vals.iter().map(|&v| v as f64).collect();
-            let mut exec = FaultyExecution::new(
+            let mut exec = Execution::new(
                 Isotropic(SelfHealingPushSum),
                 PushSumState::averaging(&floats),
-                plan,
             );
-            exec.drive(&StaticGraph::new(g), RunConfig::rounds(rounds));
+            exec.drive(
+                &StaticGraph::new(g),
+                RunConfig::rounds(rounds).faults(&plan),
+            );
             let (_, z) = total_mass(exec.states());
             let deficit = (n as f64 - z).abs();
             let tol = f64_tolerance(rounds, n, 9.0);
@@ -1286,12 +1292,13 @@ fn check_churn(ctx: &CellCtx) -> CellOutcome {
                 ledger_z.set(ledger_z.get() + (f.z - parked.z));
                 f
             };
-            let mut exec = FaultyExecution::new(Isotropic(SelfHealingPushSum), fresh.clone(), plan);
+            let mut exec = Execution::new(Isotropic(SelfHealingPushSum), fresh.clone());
             let report = exec.drive(
                 &stack,
                 RunConfig::rounds(rounds)
                     .membership(&membership, &reinit)
-                    .measure(&EuclideanMetric, &mean, ctx.eps()),
+                    .measure(&EuclideanMetric, &mean, ctx.eps())
+                    .faults(&plan),
             );
             let (_, z) = total_mass(exec.states());
             let expected = n as f64 + ledger_z.get();

@@ -1,9 +1,10 @@
 //! Differential conformance oracles for the `kya` stack.
 //!
-//! Every algorithm in this workspace can be driven four ways — the
-//! sequential [`Execution::step`], the sharded `step_parallel`, the
-//! observed variants, and [`FaultyExecution`] — and, for the Push-Sum
-//! family, in two arithmetics (f64 and exact [`BigRational`]). The
+//! Every algorithm in this workspace can be driven several ways — the
+//! sequential [`Execution::step`], the sharded `step_parallel`, and
+//! [`Execution::drive`] observed, sharded, or under a quiescent fault
+//! plan — and, for the Push-Sum family, in two arithmetics (f64 and
+//! exact [`BigRational`]). The
 //! simulator's claims are only as good as those paths agreeing, so this
 //! crate cross-checks them on a seeded matrix of topologies:
 //!
@@ -50,7 +51,7 @@
 //! CI conformance job does.
 //!
 //! [`Execution::step`]: kya_runtime::Execution::step
-//! [`FaultyExecution`]: kya_runtime::faults::FaultyExecution
+//! [`Execution::drive`]: kya_runtime::Execution::drive
 //! [`BigRational`]: kya_arith::BigRational
 
 pub mod checks;

@@ -22,9 +22,10 @@
 //!   single JSON document.
 //!
 //! The per-cell measurement type is
-//! [`kya_runtime::CellReport`] — the same report produced by
-//! `Execution::run_until` and `FaultyExecution::run_with_recovery`, so
-//! experiment cell functions are a few lines of glue.
+//! [`kya_runtime::CellReport`] — the same report a measured
+//! [`Execution::drive`](kya_runtime::Execution::drive) produces,
+//! faulted or not, so experiment cell functions are a few lines of
+//! glue.
 //!
 //! # Example
 //!

@@ -61,15 +61,32 @@ fn parse_pair(s: &str, what: &str) -> Result<(usize, usize), SpecError> {
     Ok((parse_num(a, what)?, parse_num(b, what)?))
 }
 
+/// A size-like parameter that must be positive: a zero-size family
+/// member has no agents (or no structure) to run on.
+fn positive(value: usize, what: &str) -> Result<usize, SpecError> {
+    if value == 0 {
+        return Err(err(format!("invalid {what}: must be at least 1, got 0")));
+    }
+    Ok(value)
+}
+
+fn parse_size(s: &str, what: &str) -> Result<usize, SpecError> {
+    positive(parse_num(s, what)?, what)
+}
+
+fn parse_positive_pair(s: &str, what: &str) -> Result<(usize, usize), SpecError> {
+    let (a, b) = parse_pair(s, what)?;
+    Ok((positive(a, what)?, positive(b, what)?))
+}
+
 /// The near-square factorization `r x c = n` with `r <= c` and `r`
-/// maximal — what `torus:N` means.
+/// maximal — what `torus:N` means (`n >= 1`).
 fn near_square(n: usize) -> (usize, usize) {
-    let n = n.max(1);
     let mut r = (n as f64).sqrt() as usize;
     while r > 1 && !n.is_multiple_of(r) {
         r -= 1;
     }
-    (r.max(1), n / r.max(1))
+    (r, n / r)
 }
 
 /// Parse a graph spec (see module docs for the grammar).
@@ -87,40 +104,40 @@ pub fn parse_graph(spec: &str) -> Result<Digraph, SpecError> {
             .ok_or_else(|| err(format!("`{family}` needs more parameters (got `{spec}`)")))
     };
     let graph = match family {
-        "ring" => generators::directed_ring(parse_num(arg(0)?, "size")?.max(1)),
-        "biring" => generators::bidirectional_ring(parse_num(arg(0)?, "size")?.max(1)),
-        "star" => generators::star(parse_num(arg(0)?, "size")?.max(1)),
-        "path" => generators::bidirectional_path(parse_num(arg(0)?, "size")?.max(1)),
-        "complete" => generators::complete(parse_num(arg(0)?, "size")?),
+        "ring" => generators::directed_ring(parse_size(arg(0)?, "size")?),
+        "biring" => generators::bidirectional_ring(parse_size(arg(0)?, "size")?),
+        "star" => generators::star(parse_size(arg(0)?, "size")?),
+        "path" => generators::bidirectional_path(parse_size(arg(0)?, "size")?),
+        "complete" => generators::complete(parse_size(arg(0)?, "size")?),
         "torus" => {
             let (r, c) = if arg(0)?.contains('x') {
-                parse_pair(arg(0)?, "torus dimensions")?
+                parse_positive_pair(arg(0)?, "torus dimensions")?
             } else {
-                near_square(parse_num(arg(0)?, "torus size")?)
+                near_square(parse_size(arg(0)?, "torus size")?)
             };
-            generators::directed_torus(r.max(1), c.max(1))
+            generators::directed_torus(r, c)
         }
         "hypercube" => generators::hypercube(parse_num(arg(0)?, "dimension")? as u32),
         "debruijn" => {
-            let (b, k) = parse_pair(arg(0)?, "de Bruijn parameters")?;
-            generators::de_bruijn(b.max(1), (k.max(1)) as u32)
+            let (b, k) = parse_positive_pair(arg(0)?, "de Bruijn parameters")?;
+            generators::de_bruijn(b, k as u32)
         }
         "kautz" => {
             let (b, k) = parse_pair(arg(0)?, "Kautz parameters")?;
-            generators::kautz(b.max(1), k as u32)
+            generators::kautz(positive(b, "Kautz parameters")?, k as u32)
         }
         "layered" => {
-            let (g, s) = parse_pair(arg(0)?, "layered-cycle parameters")?;
-            generators::layered_cycle(g.max(1), s.max(1))
+            let (g, s) = parse_positive_pair(arg(0)?, "layered-cycle parameters")?;
+            generators::layered_cycle(g, s)
         }
         "random" => {
-            let n = parse_num(arg(0)?, "size")?.max(1);
+            let n = parse_size(arg(0)?, "size")?;
             let extra = parse_num(arg(1)?, "extra edge count")?;
             let seed = parse_num(arg(2)?, "seed")? as u64;
             generators::random_strongly_connected(n, extra, seed)
         }
         "randbi" => {
-            let n = parse_num(arg(0)?, "size")?.max(1);
+            let n = parse_size(arg(0)?, "size")?;
             let extra = parse_num(arg(1)?, "extra pair count")?;
             let seed = parse_num(arg(2)?, "seed")? as u64;
             generators::random_bidirectional_connected(n, extra, seed)
@@ -819,6 +836,53 @@ mod tests {
         assert_eq!(parse_graph("randbi:7:2:1").unwrap().n(), 7);
         assert_eq!(parse_graph("star:5").unwrap().outdegree(0), 4);
         assert_eq!(parse_graph("layered:3x4").unwrap().n(), 12);
+    }
+
+    /// Assert `spec` is rejected with a message naming the zero.
+    fn rejects_zero(spec: &str) {
+        let e = parse_graph(spec).expect_err(spec);
+        assert!(e.0.contains("at least 1"), "{spec}: {e}");
+    }
+
+    #[test]
+    fn zero_size_rings_are_rejected() {
+        rejects_zero("ring:0");
+        rejects_zero("biring:0");
+    }
+
+    #[test]
+    fn zero_size_star_and_path_are_rejected() {
+        rejects_zero("star:0");
+        rejects_zero("path:0");
+    }
+
+    #[test]
+    fn zero_size_complete_is_rejected() {
+        rejects_zero("complete:0");
+    }
+
+    #[test]
+    fn zero_size_tori_are_rejected() {
+        rejects_zero("torus:0");
+        rejects_zero("torus:0x4");
+        rejects_zero("torus:4x0");
+    }
+
+    #[test]
+    fn zero_parameter_de_bruijn_kautz_layered_are_rejected() {
+        rejects_zero("debruijn:0x2");
+        rejects_zero("debruijn:2x0");
+        rejects_zero("kautz:0x2");
+        rejects_zero("layered:0x3");
+        rejects_zero("layered:3x0");
+        // Kautz words of length 0 are a legitimate (complete) graph.
+        assert_eq!(parse_graph("kautz:2x0").unwrap().n(), 3);
+    }
+
+    #[test]
+    fn zero_size_random_graphs_are_rejected() {
+        rejects_zero("random:0:3:1");
+        rejects_zero("randbi:0:3:1");
     }
 
     #[test]

@@ -113,6 +113,22 @@ pub trait Algorithm {
         self.transition(state, inbox)
     }
 
+    /// The state after folding back `lost`: the messages this agent
+    /// sent this round that a [`FaultPlan`](crate::faults::FaultPlan)
+    /// did not deliver (dropped in flight or addressed to a crashed
+    /// agent). The runtime bounces them back within the same
+    /// communication-closed round — a link-layer NACK — and calls this
+    /// after the transition, only when `lost` is non-empty.
+    ///
+    /// This is the self-healing hook: a mass-conserving algorithm folds
+    /// the lost shares back into its state (they are rescattered over
+    /// surviving links next round). The default discards them, which is
+    /// the fault-oblivious negative control of the F6 experiments.
+    fn reabsorb(&self, state: &Self::State, lost: &[Self::Msg]) -> Self::State {
+        let _ = lost;
+        state.clone()
+    }
+
     /// The agent's current output.
     fn output(&self, state: &Self::State) -> Self::Output;
 }
@@ -146,6 +162,13 @@ pub trait IsotropicAlgorithm {
     ) -> Self::State {
         let _ = outdegree;
         self.transition(state, inbox)
+    }
+
+    /// Fold back undelivered messages (see [`Algorithm::reabsorb`]).
+    /// Defaults to discarding them.
+    fn reabsorb(&self, state: &Self::State, lost: &[Self::Msg]) -> Self::State {
+        let _ = lost;
+        state.clone()
     }
 
     /// The agent's current output.
@@ -200,6 +223,10 @@ impl<A: IsotropicAlgorithm> Algorithm for Isotropic<A> {
         inbox: &[Self::Msg],
     ) -> Self::State {
         self.0.transition_with_outdegree(state, outdegree, inbox)
+    }
+
+    fn reabsorb(&self, state: &Self::State, lost: &[Self::Msg]) -> Self::State {
+        self.0.reabsorb(state, lost)
     }
 
     fn output(&self, state: &Self::State) -> Self::Output {

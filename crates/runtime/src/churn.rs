@@ -24,10 +24,11 @@
 //!   call site, so the oracle can check conservation *modulo the ledger
 //!   of declared deltas*.
 //!
-//! The executor side lives on [`crate::Execution::run_churned`] and
-//! [`crate::faults::FaultyExecution::run_with_recovery_churned`]; the
-//! composition order with the other adversaries is pairing ∘ churn ∘
-//! faults ∘ async-starts (see DESIGN.md).
+//! The executor side is the [`RunConfig::membership`](crate::RunConfig::membership)
+//! knob of [`crate::Execution::drive`], which applies the rejoin policy
+//! before every round and delays the convergence verdict past the last
+//! transition; the composition order with the other adversaries is
+//! pairing ∘ churn ∘ faults ∘ async-starts (see DESIGN.md).
 
 use kya_graph::{Digraph, DynamicGraph};
 use serde::{Deserialize, Serialize};
@@ -183,9 +184,8 @@ impl ChurnPlan {
 /// when, over a fixed universe of `n` agent slots.
 ///
 /// Built by [`ChurnPlan::membership`]; threaded through
-/// [`crate::Execution::run_churned`] and
-/// [`crate::faults::FaultyExecution::run_with_recovery_churned`], and
-/// into the [`ChurnMasked`] graph adversary.
+/// [`RunConfig::membership`](crate::RunConfig::membership) and into the
+/// [`ChurnMasked`] graph adversary.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Membership {
     n: usize,

@@ -1,34 +1,34 @@
-//! The unified run configuration consumed by
-//! [`Execution::drive`](crate::Execution::drive) and
-//! [`FaultyExecution::drive`](crate::faults::FaultyExecution::drive).
+//! The run configuration consumed by
+//! [`Execution::drive`](crate::Execution::drive), the executor's single
+//! run entry point.
 //!
-//! Before this builder existed the executors grew one entry point per
-//! feature combination (`run`, `run_observed`, `run_until`,
-//! `run_until_converged`, `run_churned`, `run_with_recovery`, ...).
-//! [`RunConfig`] collapses that zoo into orthogonal knobs:
+//! [`RunConfig`] describes a run as orthogonal knobs:
 //!
 //! - [`rounds`](RunConfig::rounds) — the round budget (the only
 //!   mandatory knob, and the constructor);
-//! - [`threads`](RunConfig::threads) — shard each round over contiguous
-//!   agent ranges (bit-identical to sequential at any count);
+//! - [`threads`](RunConfig::threads) — shard each round's sends and
+//!   transitions over contiguous agent ranges (bit-identical to
+//!   sequential at any count);
 //! - [`observer`](RunConfig::observer) — attach an [`Observer`] to the
 //!   round/message stream;
 //! - [`membership`](RunConfig::membership) — churn: apply the
 //!   membership's rejoin policy before every round;
+//! - [`faults`](RunConfig::faults) — inject a [`FaultPlan`] at the
+//!   message level, in the route;
 //! - [`measure`](RunConfig::measure) /
 //!   [`measure_with`](RunConfig::measure_with) — record a per-round
 //!   distance trace and judge ε-convergence post hoc;
 //! - [`confirm`](RunConfig::confirm) — stop early after the outputs
 //!   stay in the ε-ball this many consecutive rounds;
 //! - [`invariant`](RunConfig::invariant) — evaluate a mass functional
-//!   over the final states into the report.
-//!
-//! Every legacy entry point is now a thin deprecated wrapper over one
-//! `RunConfig` spelling; see DESIGN.md for the migration table.
+//!   over the final states into the report;
+//! - [`bandwidth`](RunConfig::bandwidth) — meter channel traffic under
+//!   a bit cap.
 
 use crate::algorithm::Algorithm;
 use crate::bandwidth::{BandwidthCap, ByteLedger};
 use crate::churn::Membership;
+use crate::faults::FaultPlan;
 use crate::metric::{EuclideanMetric, Metric};
 use crate::telemetry::Observer;
 
@@ -95,7 +95,7 @@ pub type DistanceFn<'a, O> = Box<dyn Fn(&[O]) -> f64 + 'a>;
 pub type InvariantFn<'a, S> = &'a dyn Fn(&[S]) -> f64;
 
 /// Declarative description of one `drive` call: budget, parallelism,
-/// observation, churn, and measurement. See the module docs.
+/// observation, churn, faults, and measurement. See the module docs.
 pub struct RunConfig<'a, A: Algorithm> {
     pub(crate) rounds: u64,
     pub(crate) threads: usize,
@@ -107,6 +107,7 @@ pub struct RunConfig<'a, A: Algorithm> {
     pub(crate) confirm: Option<u64>,
     pub(crate) invariant: Option<InvariantFn<'a, A::State>>,
     pub(crate) bandwidth: Option<(BandwidthCap, &'a ByteLedger)>,
+    pub(crate) faults: Option<&'a FaultPlan>,
 }
 
 impl<'a, A: Algorithm> RunConfig<'a, A> {
@@ -123,14 +124,14 @@ impl<'a, A: Algorithm> RunConfig<'a, A> {
             confirm: None,
             invariant: None,
             bandwidth: None,
+            faults: None,
         }
     }
 
-    /// Shard each round across `threads` workers over contiguous agent
-    /// ranges. Bit-identical to `threads = 1` at any count.
-    ///
-    /// [`FaultyExecution::drive`](crate::faults::FaultyExecution::drive)
-    /// is sequential and panics when `threads != 1`.
+    /// Shard each round's sends and transitions across `threads`
+    /// workers over contiguous agent ranges; the route between them
+    /// (observer and fault stage included) stays sequential.
+    /// Bit-identical to `threads = 1` at any count, faulted or not.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -155,6 +156,19 @@ impl<'a, A: Algorithm> RunConfig<'a, A> {
         reinit: &'a dyn Fn(usize, &A::State) -> A::State,
     ) -> Self {
         self.membership = Some((membership, reinit));
+        self
+    }
+
+    /// Inject `plan` at the message level: crashed agents freeze, and
+    /// in-flight messages are dropped, duplicated, or bounced off
+    /// crashed recipients per the plan's coins; bounced messages return
+    /// to their sender's [`Algorithm::reabsorb`]. Injected faults are
+    /// counted in the report's `events` and delay its convergence
+    /// verdict (see [`Execution::drive`](crate::Execution::drive)).
+    /// The graph-level reading of the same plan is
+    /// [`FaultyNetwork`](crate::faults::FaultyNetwork).
+    pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
+        self.faults = Some(plan);
         self
     }
 

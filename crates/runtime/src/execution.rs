@@ -3,9 +3,9 @@
 use crate::algorithm::Algorithm;
 use crate::churn::{Membership, ReinjectPolicy};
 use crate::config::RunConfig;
-use crate::faults::FaultEvents;
+use crate::faults::{Fate, FaultEvents, FaultPlan};
 use crate::metric::Metric;
-use crate::report::CellReport;
+use crate::report::{CellReport, Trace};
 use crate::telemetry::{NullObserver, Observer};
 use kya_graph::{Digraph, DynamicGraph};
 use std::ops::Range;
@@ -44,6 +44,155 @@ where
     out
 }
 
+/// Where a round's per-agent phases — sends and transitions — run: on
+/// the calling thread ([`Local`]) or sharded over contiguous agent
+/// ranges ([`Sharded`]). Both compute the same values in agent order;
+/// only [`Sharded`] needs `Send`/`Sync`, which keeps
+/// [`Execution::step`] open to every algorithm.
+trait Phases<A: Algorithm> {
+    /// Every agent's port messages, in agent order.
+    fn sends<'s>(
+        &self,
+        input: &'s RoundInput<'_, A>,
+        states: &'s [A::State],
+    ) -> impl Iterator<Item = Vec<A::Msg>> + 's;
+
+    /// Advance `states` past the round.
+    fn transitions(
+        &self,
+        input: &RoundInput<'_, A>,
+        routed: &Routed<A>,
+        states: &mut Vec<A::State>,
+    );
+}
+
+/// Per-agent phases on the calling thread: sends are routed as they
+/// are computed, and transitions replace states in place.
+struct Local;
+
+/// Per-agent phases sharded over this many workers ([`shard_ranges`]).
+struct Sharded(usize);
+
+/// What every agent's send and transition read besides the states: the
+/// round, the algorithm, the graph, and the crashed agents (`frozen` is
+/// empty when no crash window applies, so a fault-free round allocates
+/// nothing for it).
+struct RoundInput<'r, A: Algorithm> {
+    round: u64,
+    algo: &'r A,
+    graph: &'r Digraph,
+    frozen: Vec<bool>,
+}
+
+/// The route's output: one inbox per agent, plus the messages bounced
+/// back to each sender (empty unless a fault plan is attached).
+struct Routed<A: Algorithm> {
+    inboxes: Vec<Vec<A::Msg>>,
+    bounced: Vec<Vec<A::Msg>>,
+}
+
+impl<A: Algorithm> RoundInput<'_, A> {
+    fn is_frozen(&self, v: usize) -> bool {
+        self.frozen.get(v).copied().unwrap_or(false)
+    }
+
+    /// Agent `v`'s port messages; a crashed agent sends nothing.
+    fn send(&self, states: &[A::State], v: usize) -> Vec<A::Msg> {
+        if self.is_frozen(v) {
+            return Vec::new();
+        }
+        let outdeg = self.graph.outdegree(v);
+        let msgs = self.algo.send(&states[v], outdeg);
+        assert_eq!(
+            msgs.len(),
+            outdeg,
+            "round {}: wrong message count from agent {v}: \
+             algorithm produced {} messages for outdegree {outdeg}",
+            self.round,
+            msgs.len()
+        );
+        msgs
+    }
+
+    /// Agent `v`'s next state: the transition on its inbox, then
+    /// [`Algorithm::reabsorb`] of its bounced messages. Not called for
+    /// a crashed agent, whose state stays frozen.
+    fn transition(&self, state: &A::State, v: usize, routed: &Routed<A>) -> A::State {
+        let outdeg = self.graph.outdegree(v);
+        let next = self
+            .algo
+            .transition_with_outdegree(state, outdeg, &routed.inboxes[v]);
+        match routed.bounced.get(v) {
+            Some(lost) if !lost.is_empty() => self.algo.reabsorb(&next, lost),
+            _ => next,
+        }
+    }
+}
+
+impl<A: Algorithm> Phases<A> for Local {
+    fn sends<'s>(
+        &self,
+        input: &'s RoundInput<'_, A>,
+        states: &'s [A::State],
+    ) -> impl Iterator<Item = Vec<A::Msg>> + 's {
+        (0..states.len()).map(move |v| input.send(states, v))
+    }
+
+    fn transitions(
+        &self,
+        input: &RoundInput<'_, A>,
+        routed: &Routed<A>,
+        states: &mut Vec<A::State>,
+    ) {
+        for (v, state) in states.iter_mut().enumerate() {
+            if !input.is_frozen(v) {
+                *state = input.transition(state, v, routed);
+            }
+        }
+    }
+}
+
+impl<A> Phases<A> for Sharded
+where
+    A: Algorithm + Sync,
+    A::State: Send + Sync,
+    A::Msg: Send + Sync,
+{
+    fn sends<'s>(
+        &self,
+        input: &'s RoundInput<'_, A>,
+        states: &'s [A::State],
+    ) -> impl Iterator<Item = Vec<A::Msg>> + 's {
+        let ranges = shard_ranges(states.len(), self.0);
+        run_sharded(&ranges, |r| {
+            r.clone().map(|v| input.send(states, v)).collect()
+        })
+        .into_iter()
+    }
+
+    fn transitions(
+        &self,
+        input: &RoundInput<'_, A>,
+        routed: &Routed<A>,
+        states: &mut Vec<A::State>,
+    ) {
+        let current = &*states;
+        let ranges = shard_ranges(current.len(), self.0);
+        let next = run_sharded(&ranges, |r| {
+            r.clone()
+                .map(|v| {
+                    if input.is_frozen(v) {
+                        current[v].clone()
+                    } else {
+                        input.transition(&current[v], v, routed)
+                    }
+                })
+                .collect()
+        });
+        *states = next;
+    }
+}
+
 /// An execution of an [`Algorithm`] on a network: the sequence of global
 /// states `C^0, C^1, ...` of §2.2, advanced one communication-closed round
 /// at a time.
@@ -54,6 +203,10 @@ where
 /// port labels when present (sorted by label) and edge insertion order
 /// otherwise, so port-aware algorithms require port-colored static
 /// graphs to be meaningful — exactly the paper's proviso (§2.2).
+///
+/// Faults are a transformation of delivery, not a second executor: a
+/// [`RunConfig::faults`] plan runs the same round with a message-level
+/// fault stage in the route (see [`Execution::drive`]).
 #[derive(Clone, Debug)]
 pub struct Execution<A: Algorithm> {
     algo: A,
@@ -105,9 +258,9 @@ impl<A: Algorithm> Execution<A> {
     /// `(source id, port rank)` order, where the port rank of an edge is
     /// its index in the source's `(port label, edge id)`-sorted out-edge
     /// list. Algorithms must treat the inbox as a multiset, but f64
-    /// summation is order-sensitive, so all execution paths — `step`,
-    /// [`Execution::step_parallel`], and `FaultyExecution` — pin this
-    /// one order to keep float runs bit-identical across paths
+    /// summation is order-sensitive, so every round — sequential or
+    /// sharded, observed or not, faulted or not — routes in this one
+    /// order to keep float runs bit-identical across schedules
     /// (conformance check `paths`, `kya check`).
     ///
     /// # Panics
@@ -115,82 +268,164 @@ impl<A: Algorithm> Execution<A> {
     /// Panics if the vertex count mismatches, a self-loop is missing, or
     /// the algorithm returns the wrong number of port messages.
     pub fn step(&mut self, graph: &Digraph) {
-        self.step_observed(graph, &mut NullObserver);
+        self.run_round(graph, Local, &mut NullObserver, None);
     }
 
-    /// Like [`Execution::step`], with an [`Observer`] seeing the round
-    /// boundaries and every delivered message (in the deterministic
-    /// routing order).
+    /// Like [`Execution::step`], but computes sends and transitions in
+    /// parallel across agents (`threads` crossbeam workers) over
+    /// contiguous agent ranges.
+    ///
+    /// Bit-identical to `step`: the round is communication closed, so
+    /// per-agent work is embarrassingly parallel, and the route between
+    /// the two phases is the sequential one. Useful for large-`n`
+    /// simulations; for small networks the sequential `step` is faster.
     ///
     /// # Panics
     ///
-    /// Same contract as [`Execution::step`].
-    pub fn step_observed<O: Observer<A>>(&mut self, graph: &Digraph, obs: &mut O) {
+    /// Same contract as [`Execution::step`]; additionally panics if
+    /// `threads == 0`.
+    pub fn step_parallel(&mut self, graph: &Digraph, threads: usize)
+    where
+        A: Sync,
+        A::State: Send + Sync,
+        A::Msg: Send + Sync,
+    {
+        assert!(threads > 0, "at least one worker thread");
+        self.run_round(graph, Sharded(threads), &mut NullObserver, None);
+    }
+
+    /// The one round every entry point runs: sends, a sequential route,
+    /// transitions.
+    ///
+    /// 1. **Sends**, on `phases`; a crashed agent sends nothing.
+    /// 2. **Route**, on the calling thread in canonical `(source id,
+    ///    port rank)` order — the observer's `on_message` stream is this
+    ///    loop, so it is identical at any thread count. With a fault
+    ///    plan attached, each non-self-loop message is bounced if its
+    ///    recipient is crashed, else dropped, duplicated, or delivered
+    ///    per the plan's coins ([`FaultPlan::fate`]); lost messages fire
+    ///    `on_message_dropped` and return to their sender. Faults delete
+    ///    or duplicate inbox entries in place and never reorder them, so
+    ///    a quiescent plan is bit-identical to no plan.
+    /// 3. **Transitions**, on `phases`, each followed by
+    ///    [`Algorithm::reabsorb`] of the agent's bounced messages; a
+    ///    crashed agent's state stays frozen.
+    fn run_round<P: Phases<A>, O: Observer<A> + ?Sized>(
+        &mut self,
+        graph: &Digraph,
+        phases: P,
+        obs: &mut O,
+        mut faults: Option<(&FaultPlan, &mut FaultEvents)>,
+    ) {
         assert_eq!(graph.n(), self.states.len(), "graph size != agent count");
         self.round += 1;
-        obs.on_round_start(self.round, &self.states);
+        let t = self.round;
         let n = graph.n();
-        let mut inboxes: Vec<Vec<A::Msg>> = (0..n)
-            .map(|v| Vec::with_capacity(graph.indegree(v)))
-            .collect();
+        let frozen = match &mut faults {
+            Some((plan, events)) if !plan.crashes().is_empty() => {
+                let frozen: Vec<bool> = (0..n).map(|v| plan.is_crashed(v, t)).collect();
+                if frozen.contains(&true) {
+                    events.crashed_rounds += 1;
+                    events.last_fault_round = t;
+                }
+                frozen
+            }
+            _ => Vec::new(),
+        };
+        obs.on_round_start(t, &self.states);
         for v in 0..n {
             assert!(
                 graph.has_self_loop(v),
-                "round {}: vertex {v} lacks a self-loop",
-                self.round
+                "round {t}: vertex {v} lacks a self-loop"
             );
-            let outdeg = graph.outdegree(v);
-            let msgs = self.algo.send(&self.states[v], outdeg);
-            assert_eq!(
-                msgs.len(),
-                outdeg,
-                "algorithm produced {} messages for outdegree {outdeg}",
-                msgs.len()
-            );
-            // Port discipline: out-edges in (port, edge id) order, from
-            // the graph's cached canonical port order.
-            for (msg, &e) in msgs.into_iter().zip(graph.port_ranks().out_edges_ranked(v)) {
+        }
+        let input = RoundInput {
+            round: t,
+            algo: &self.algo,
+            graph,
+            frozen,
+        };
+        let mut routed = Routed {
+            inboxes: (0..n)
+                .map(|v| Vec::with_capacity(graph.indegree(v)))
+                .collect(),
+            bounced: match faults {
+                Some(_) => vec![Vec::new(); n],
+                None => Vec::new(),
+            },
+        };
+        let order = graph.port_ranks();
+        for (v, msgs) in phases.sends(&input, &self.states).enumerate() {
+            for (msg, &e) in msgs.into_iter().zip(order.out_edges_ranked(v)) {
                 let dst = graph.edges()[e].dst;
-                obs.on_message(self.round, v, dst, &msg);
-                inboxes[dst].push(msg);
+                let fate = match &mut faults {
+                    Some((plan, events)) => {
+                        let fate = plan.fate(t, v, dst, &input.frozen);
+                        events.record(t, fate);
+                        fate
+                    }
+                    None => Fate::Deliver,
+                };
+                match fate {
+                    Fate::Deliver => {
+                        obs.on_message(t, v, dst, &msg);
+                        routed.inboxes[dst].push(msg);
+                    }
+                    Fate::Duplicate => {
+                        obs.on_message(t, v, dst, &msg);
+                        obs.on_message(t, v, dst, &msg);
+                        routed.inboxes[dst].push(msg.clone());
+                        routed.inboxes[dst].push(msg);
+                    }
+                    Fate::Dropped | Fate::Bounced => {
+                        obs.on_message_dropped(t, v, dst, &msg);
+                        routed.bounced[v].push(msg);
+                    }
+                }
             }
         }
-        for (v, inbox) in inboxes.into_iter().enumerate() {
-            self.states[v] =
-                self.algo
-                    .transition_with_outdegree(&self.states[v], graph.outdegree(v), &inbox);
-        }
-        obs.on_round_end(self.round, &self.algo, &self.states);
+
+        phases.transitions(&input, &routed, &mut self.states);
+        obs.on_round_end(t, &self.algo, &self.states);
     }
 
-    /// Execute one configured run: the single entry point behind every
-    /// legacy `run*` method (see [`RunConfig`] for the knobs).
+    /// Execute one configured run — the single run entry point (see
+    /// [`RunConfig`] for the knobs).
     ///
     /// Per round: apply the membership's rejoin policy (if churned),
-    /// fetch the round's graph, step — sequentially or sharded over
-    /// `cfg.threads` contiguous agent ranges, observed or not — and,
-    /// if measuring, record the round's distance. Convergence at
-    /// tolerance ε is judged post hoc over the whole trace (§2.3): the
-    /// full budget is executed unless a [`RunConfig::confirm`] window
-    /// closes early or an output goes non-finite (no later round can
-    /// converge, so the run ends at once with
-    /// [`CellReport::diverged_at`] set).
+    /// fetch the round's graph, run the round — sends and transitions
+    /// sharded over `cfg.threads` contiguous agent ranges, the route
+    /// (observer calls and fault stage included) sequential — and, if
+    /// measuring, record the round's distance. Convergence at tolerance
+    /// ε is judged post hoc over the whole trace (§2.3): the full budget
+    /// is executed unless a [`RunConfig::confirm`] window closes early
+    /// or an output goes non-finite (no later round can converge, so the
+    /// run ends at once with [`CellReport::diverged_at`] set).
+    ///
+    /// Adversary activity delays convergence: the report's
+    /// `last_fault_round` is the later of the last fault injected by a
+    /// [`RunConfig::faults`] plan during this run and — when a
+    /// [`RunConfig::membership`] is attached — the last membership
+    /// transition inside the budget, and only rounds strictly after it
+    /// can count as converged. The report's `events` count this run's
+    /// faults.
     ///
     /// Non-consuming: the execution can be driven again afterwards; a
     /// second call measures from the current round. For unmeasured
-    /// configs the report carries only `rounds_run`.
+    /// configs the report carries only `rounds_run` (and the adversary
+    /// fields).
     ///
     /// # Panics
     ///
     /// Same per-round contract as [`Execution::step`]; additionally
-    /// panics if `cfg.threads == 0`.
+    /// panics if `cfg.threads == 0` or the fault plan crashes an agent
+    /// outside `0..n()`.
     pub fn drive(&mut self, net: &dyn DynamicGraph, cfg: RunConfig<'_, A>) -> CellReport
     where
         A: Sync,
         A::State: Send + Sync,
         A::Msg: Send + Sync,
     {
-        assert!(cfg.threads > 0, "at least one worker thread");
         let RunConfig {
             rounds,
             threads,
@@ -201,12 +436,21 @@ impl<A: Algorithm> Execution<A> {
             confirm,
             invariant,
             bandwidth,
+            faults,
         } = cfg;
+        assert!(threads > 0, "at least one worker thread");
+        for w in faults.map_or(&[][..], FaultPlan::crashes) {
+            assert!(
+                w.agent < self.n(),
+                "crash window names agent {} but there are {} agents",
+                w.agent,
+                self.n()
+            );
+        }
         let start = self.round;
-        let mut distances = Vec::new();
-        let mut entered: Option<u64> = None;
-        let mut executed: u64 = 0;
-        while executed < rounds {
+        let mut events = FaultEvents::default();
+        let mut trace = Trace::new(start, dist, eps, confirm);
+        for _ in 0..rounds {
             if let Some((membership, reinit)) = membership {
                 self.apply_rejoins(membership, reinit);
             }
@@ -214,67 +458,37 @@ impl<A: Algorithm> Execution<A> {
             if let Some((cap, ledger)) = bandwidth {
                 ledger.charge_round(g.edge_count() as u64, cap.bits_per_edge());
             }
+            let stage = faults.map(|plan| (plan, &mut events));
             match (&mut observer, threads) {
-                (None, 1) => self.step(&g),
-                (None, t) => self.step_parallel(&g, t),
-                (Some(o), 1) => self.step_observed(&g, o),
-                (Some(o), t) => self.step_parallel_observed(&g, t, o),
+                (None, 1) => self.run_round(&g, Local, &mut NullObserver, stage),
+                (None, t) => self.run_round(&g, Sharded(t), &mut NullObserver, stage),
+                (Some(o), 1) => self.run_round(&g, Local, &mut **o, stage),
+                (Some(o), t) => self.run_round(&g, Sharded(t), &mut **o, stage),
             }
-            executed += 1;
-            if let Some(dist) = &dist {
-                let d = dist(&self.outputs());
-                distances.push(d);
-                if !d.is_finite() {
-                    break;
-                }
-                if let Some(confirm) = confirm {
-                    if d <= eps {
-                        let at = *entered.get_or_insert(self.round);
-                        if self.round - at >= confirm {
-                            break;
-                        }
-                    } else {
-                        entered = None;
-                    }
-                }
+            if trace.record(self.round, || self.outputs()) {
+                break;
             }
         }
-        let measured = dist.is_some();
+        // A membership transition past the budget is clamped to the
+        // final round: the trace then stays unconverged, which is the
+        // honest verdict.
+        let churn = membership.map_or(0, |(membership, _)| {
+            let last = membership.last_transition();
+            if last > start {
+                last.min(self.round)
+            } else {
+                0
+            }
+        });
+        let last_fault_round = events.last_fault_round.max(churn);
         let mass = invariant.map(|f| f(&self.states));
-        let mut report =
-            CellReport::from_trace(start, distances, eps, 0, FaultEvents::default(), mass);
-        if !measured {
-            report.rounds_run = executed;
-        }
+        let report = trace.seal(last_fault_round, events, mass);
         if let Some(obs) = observer.as_mut() {
             if let Some(round) = report.converged_at {
                 obs.on_converged(round, report.final_distance);
             }
         }
         report
-    }
-
-    /// Execute `rounds` rounds on a dynamic graph, starting from the round
-    /// after the current one.
-    #[deprecated(note = "use `drive(net, RunConfig::rounds(rounds))`")]
-    pub fn run(&mut self, net: &dyn DynamicGraph, rounds: u64)
-    where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        let _ = self.drive(net, RunConfig::rounds(rounds));
-    }
-
-    /// Like [`Execution::run`], driving an [`Observer`] each round.
-    #[deprecated(note = "use `drive(net, RunConfig::rounds(rounds).observer(obs))`")]
-    pub fn run_observed<O: Observer<A>>(&mut self, net: &dyn DynamicGraph, rounds: u64, obs: &mut O)
-    where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        let _ = self.drive(net, RunConfig::rounds(rounds).observer(obs));
     }
 
     /// Apply the membership's rejoin transitions for the **upcoming**
@@ -288,7 +502,8 @@ impl<A: Algorithm> Execution<A> {
     /// accumulating into a `std::cell::Cell` captured by the closure.
     ///
     /// Call this immediately before stepping on the round's graph;
-    /// [`Execution::run_churned`] does so for every round it runs.
+    /// [`Execution::drive`] does so for every round of a
+    /// [`RunConfig::membership`] run.
     pub fn apply_rejoins(
         &mut self,
         membership: &Membership,
@@ -303,334 +518,9 @@ impl<A: Algorithm> Execution<A> {
         rejoining
     }
 
-    /// Execute `rounds` rounds under churn: each round, first apply the
-    /// membership's rejoin policy ([`Execution::apply_rejoins`]), then
-    /// step on the network's graph. The network is expected to mask
-    /// absent agents (wrap it in [`crate::churn::ChurnMasked`]) — this
-    /// method only owns the *state* side of churn, the re-injection.
-    #[deprecated(
-        note = "use `drive(net, RunConfig::rounds(rounds).membership(membership, reinit))`"
-    )]
-    pub fn run_churned(
-        &mut self,
-        net: &dyn DynamicGraph,
-        membership: &Membership,
-        reinit: &dyn Fn(usize, &A::State) -> A::State,
-        rounds: u64,
-    ) where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        let _ = self.drive(
-            net,
-            RunConfig::rounds(rounds).membership(membership, reinit),
-        );
-    }
-
-    /// Like [`Execution::step`], but computes sends, routing, and
-    /// transitions in parallel across agents (`threads` crossbeam
-    /// workers).
-    ///
-    /// Bit-identical to `step` — the round is communication closed, so
-    /// per-agent work is embarrassingly parallel, and routing is sharded
-    /// by *destination*: each worker assembles its agents' inboxes from
-    /// the in-edge lists and then restores the canonical ascending
-    /// `(source id, port rank)` delivery order (see
-    /// [`Execution::step_observed`]). In-edge lists are in insertion
-    /// order, not source order, so the sort is load-bearing: without it
-    /// f64 runs diverge bitwise from the sequential path
-    /// (`tests/conformance.rs` pins this). Useful for large-`n`
-    /// simulations; for small networks the sequential `step` is faster.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Execution::step`]; additionally panics if
-    /// `threads == 0`.
-    pub fn step_parallel(&mut self, graph: &Digraph, threads: usize)
-    where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        assert!(threads > 0, "at least one worker thread");
-        assert_eq!(graph.n(), self.states.len(), "graph size != agent count");
-        self.round += 1;
-        let n = graph.n();
-        for v in 0..n {
-            assert!(
-                graph.has_self_loop(v),
-                "round {}: vertex {v} lacks a self-loop",
-                self.round
-            );
-        }
-        let algo = &self.algo;
-        let states = &self.states;
-        let round = self.round;
-        let ranges = shard_ranges(n, threads);
-        let order = graph.port_ranks();
-
-        // Phase 1: sends, sharded over contiguous agent ranges; shards
-        // concatenate in range order, so no re-sort is needed.
-        let sends: Vec<Vec<A::Msg>> = run_sharded(&ranges, |r| {
-            r.clone()
-                .map(|v| {
-                    let outdeg = graph.outdegree(v);
-                    let msgs = algo.send(&states[v], outdeg);
-                    assert_eq!(
-                        msgs.len(),
-                        outdeg,
-                        "round {round}: wrong message count from agent {v}"
-                    );
-                    msgs
-                })
-                .collect()
-        });
-
-        // Phase 2: routing, sharded by contiguous destination ranges.
-        // Workers read in-edges (insertion order) and sort each inbox
-        // back into the canonical ascending (src, port rank) delivery
-        // order; sends[v][r] is the message the algorithm addressed to
-        // port rank r of agent v.
-        let sends_ref = &sends;
-        let inboxes: Vec<Vec<A::Msg>> = run_sharded(&ranges, |r| {
-            r.clone()
-                .map(|dst| {
-                    let mut keyed: Vec<(u64, A::Msg)> = graph
-                        .in_edges(dst)
-                        .map(|e| {
-                            let src = graph.edges()[e].src;
-                            let rank = order.rank(e);
-                            let key = ((src as u64) << 32) | rank as u64;
-                            (key, sends_ref[src][rank as usize].clone())
-                        })
-                        .collect();
-                    keyed.sort_unstable_by_key(|&(k, _)| k);
-                    keyed.into_iter().map(|(_, m)| m).collect::<Vec<_>>()
-                })
-                .collect()
-        });
-
-        // Phase 3: transitions, sharded over contiguous agent ranges.
-        let inboxes_ref = &inboxes;
-        let next: Vec<A::State> = run_sharded(&ranges, |r| {
-            r.clone()
-                .map(|v| {
-                    algo.transition_with_outdegree(&states[v], graph.outdegree(v), &inboxes_ref[v])
-                })
-                .collect()
-        });
-        self.states = next;
-    }
-
-    /// Like [`Execution::step_parallel`], with an [`Observer`].
-    ///
-    /// The observer runs on the calling thread and sees the **same event
-    /// stream** as [`Execution::step_observed`]: `on_message` fires in
-    /// the sequential routing phase, which iterates agents and ports in
-    /// the sequential executor's order. `tests/parallel_equivalence.rs`
-    /// pins this for every algorithm in `kya_algos`.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Execution::step_parallel`].
-    pub fn step_parallel_observed<O: Observer<A>>(
-        &mut self,
-        graph: &Digraph,
-        threads: usize,
-        obs: &mut O,
-    ) where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        assert!(threads > 0, "at least one worker thread");
-        assert_eq!(graph.n(), self.states.len(), "graph size != agent count");
-        self.round += 1;
-        obs.on_round_start(self.round, &self.states);
-        let n = graph.n();
-        for v in 0..n {
-            assert!(
-                graph.has_self_loop(v),
-                "round {}: vertex {v} lacks a self-loop",
-                self.round
-            );
-        }
-        let algo = &self.algo;
-        let states = &self.states;
-        let round = self.round;
-        let ranges = shard_ranges(n, threads);
-
-        // Phase 1: sends, sharded over contiguous agent ranges.
-        let sends: Vec<Vec<A::Msg>> = run_sharded(&ranges, |r| {
-            r.clone()
-                .map(|v| {
-                    let outdeg = graph.outdegree(v);
-                    let msgs = algo.send(&states[v], outdeg);
-                    assert_eq!(
-                        msgs.len(),
-                        outdeg,
-                        "round {round}: wrong message count from agent {v}"
-                    );
-                    msgs
-                })
-                .collect()
-        });
-
-        // Phase 2: route (sequential — cheap) with the same port order as
-        // the sequential step.
-        let mut inboxes: Vec<Vec<A::Msg>> = (0..n)
-            .map(|v| Vec::with_capacity(graph.indegree(v)))
-            .collect();
-        let order = graph.port_ranks();
-        for (v, msgs) in sends.into_iter().enumerate() {
-            for (msg, &e) in msgs.into_iter().zip(order.out_edges_ranked(v)) {
-                let dst = graph.edges()[e].dst;
-                obs.on_message(self.round, v, dst, &msg);
-                inboxes[dst].push(msg);
-            }
-        }
-
-        // Phase 3: transitions, sharded over contiguous agent ranges.
-        let inboxes_ref = &inboxes;
-        let next: Vec<A::State> = run_sharded(&ranges, |r| {
-            r.clone()
-                .map(|v| {
-                    algo.transition_with_outdegree(&states[v], graph.outdegree(v), &inboxes_ref[v])
-                })
-                .collect()
-        });
-        self.states = next;
-        obs.on_round_end(self.round, &self.algo, &self.states);
-    }
-
-    /// Run for up to `max_rounds` rounds, measuring the worst-case
-    /// distance of the outputs from `target` each round, and report when
-    /// the outputs entered the ε-ball *and stayed there* for the rest of
-    /// the run (§2.3's convergence at tolerance `eps`).
-    ///
-    /// The full budget is executed — convergence is judged post-hoc over
-    /// the whole trace, so a transient dip into the ball does not count —
-    /// unless an output goes non-finite, which ends the run at once with
-    /// [`CellReport::diverged_at`] set. Non-consuming: the execution can
-    /// be stepped or measured again afterwards; a second call measures
-    /// from the current round.
-    #[deprecated(
-        note = "use `drive(net, RunConfig::rounds(max_rounds).measure(metric, target, eps))`"
-    )]
-    pub fn run_until<M: Metric<A::Output>>(
-        &mut self,
-        net: &dyn DynamicGraph,
-        metric: &M,
-        target: &A::Output,
-        eps: f64,
-        max_rounds: u64,
-    ) -> CellReport
-    where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        self.drive(
-            net,
-            RunConfig::rounds(max_rounds).measure(metric, target, eps),
-        )
-    }
-
-    /// Like [`Execution::run_until`], driving an [`Observer`] each round
-    /// (and firing `on_converged` when the sealed report says so).
-    #[deprecated(
-        note = "use `drive(net, RunConfig::rounds(max_rounds).measure(metric, target, eps).observer(obs))`"
-    )]
-    pub fn run_until_observed<M: Metric<A::Output>, O: Observer<A>>(
-        &mut self,
-        net: &dyn DynamicGraph,
-        metric: &M,
-        target: &A::Output,
-        eps: f64,
-        max_rounds: u64,
-        obs: &mut O,
-    ) -> CellReport
-    where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        self.drive(
-            net,
-            RunConfig::rounds(max_rounds)
-                .measure(metric, target, eps)
-                .observer(obs),
-        )
-    }
-
-    /// Like [`Execution::run_until`], but stop early once the outputs
-    /// have stayed within `eps` of `target` for `confirm` consecutive
-    /// rounds — the budget-saving variant for sweeps whose cells
-    /// converge long before `max_rounds`.
-    ///
-    /// The stay-in-ball criterion is unchanged; only the observation
-    /// window is truncated, so `converged_at` equals the full-budget
-    /// answer whenever the algorithm does not leave the ball again after
-    /// `confirm` rounds inside it.
-    #[deprecated(
-        note = "use `drive(net, RunConfig::rounds(max_rounds).measure(metric, target, eps).confirm(confirm))`"
-    )]
-    pub fn run_until_converged<M: Metric<A::Output>>(
-        &mut self,
-        net: &dyn DynamicGraph,
-        metric: &M,
-        target: &A::Output,
-        eps: f64,
-        max_rounds: u64,
-        confirm: u64,
-    ) -> CellReport
-    where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        self.drive(
-            net,
-            RunConfig::rounds(max_rounds)
-                .measure(metric, target, eps)
-                .confirm(confirm),
-        )
-    }
-
-    /// Like [`Execution::run_until_converged`], driving an [`Observer`]
-    /// each round.
-    #[allow(clippy::too_many_arguments)] // mirrors run_until_converged + observer
-    #[deprecated(
-        note = "use `drive(net, RunConfig::rounds(max_rounds).measure(metric, target, eps).confirm(confirm).observer(obs))`"
-    )]
-    pub fn run_until_converged_observed<M: Metric<A::Output>, O: Observer<A>>(
-        &mut self,
-        net: &dyn DynamicGraph,
-        metric: &M,
-        target: &A::Output,
-        eps: f64,
-        max_rounds: u64,
-        confirm: u64,
-        obs: &mut O,
-    ) -> CellReport
-    where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        self.drive(
-            net,
-            RunConfig::rounds(max_rounds)
-                .measure(metric, target, eps)
-                .confirm(confirm)
-                .observer(obs),
-        )
-    }
-
-    /// Like [`Execution::run_until`], but against per-agent targets:
-    /// the measured distance of a round is `max_i δ(output_i,
-    /// targets[i])`. This is the primitive behind
+    /// Run for up to `max_rounds` rounds against per-agent targets: the
+    /// measured distance of a round is `max_i δ(output_i, targets[i])`,
+    /// judged like [`RunConfig::measure`]. This is the primitive behind
     /// [`crate::testing::check_self_stabilization`].
     ///
     /// # Panics
@@ -710,7 +600,7 @@ mod tests {
     }
 
     #[test]
-    fn run_until_measures_convergence() {
+    fn measured_drive_reports_convergence() {
         use crate::metric::DiscreteMetric;
         let net = StaticGraph::new(generators::directed_ring(6));
         let inits: Vec<Vec<u32>> = (0..6).map(|v| vec![v]).collect();
@@ -728,7 +618,7 @@ mod tests {
     }
 
     #[test]
-    fn run_until_converged_stops_early() {
+    fn confirm_window_stops_early() {
         use crate::metric::DiscreteMetric;
         let net = StaticGraph::new(generators::directed_ring(6));
         let inits: Vec<Vec<u32>> = (0..6).map(|v| vec![v]).collect();
@@ -745,7 +635,7 @@ mod tests {
     }
 
     #[test]
-    fn run_until_resumes_from_current_round() {
+    fn measured_drive_resumes_from_current_round() {
         use crate::metric::DiscreteMetric;
         let net = StaticGraph::new(generators::directed_ring(6));
         let inits: Vec<Vec<u32>> = (0..6).map(|v| vec![v]).collect();
@@ -767,19 +657,6 @@ mod tests {
         use crate::metric::DiscreteMetric;
         // Frozen states: each agent keeps its own value, so per-agent
         // targets equal to the initial values are hit at round 1.
-        struct Keep;
-        impl BroadcastAlgorithm for Keep {
-            type State = u32;
-            type Msg = ();
-            type Output = u32;
-            fn message(&self, _: &u32) {}
-            fn transition(&self, s: &u32, _: &[()]) -> u32 {
-                *s
-            }
-            fn output(&self, s: &u32) -> u32 {
-                *s
-            }
-        }
         let net = StaticGraph::new(generators::directed_ring(3));
         let mut exec = Execution::new(Broadcast(Keep), vec![7, 8, 9]);
         let targets = [7u32, 8, 9];
@@ -815,8 +692,23 @@ mod tests {
         }
     }
 
+    /// [`Keep`] over f64 outputs.
+    struct KeepF;
+    impl BroadcastAlgorithm for KeepF {
+        type State = f64;
+        type Msg = ();
+        type Output = f64;
+        fn message(&self, _: &f64) {}
+        fn transition(&self, s: &f64, _: &[()]) -> f64 {
+            *s
+        }
+        fn output(&self, s: &f64) -> f64 {
+            *s
+        }
+    }
+
     #[test]
-    fn run_until_with_zero_budget_reports_nothing() {
+    fn zero_budget_reports_nothing() {
         use crate::metric::DiscreteMetric;
         let net = StaticGraph::new(generators::directed_ring(3));
         let mut exec = Execution::new(Broadcast(Keep), vec![5, 5, 5]);
@@ -843,7 +735,37 @@ mod tests {
     }
 
     #[test]
-    fn run_until_on_already_converged_states_reports_round_one() {
+    fn churned_drive_converges_only_after_the_last_transition() {
+        use crate::churn::{ChurnMasked, ChurnPlan};
+        use crate::metric::DiscreteMetric;
+        // Outputs sit on the target throughout, but agent 1 leaves at
+        // round 5 and rejoins at round 10: membership transitions are
+        // adversary activity, so convergence dates from round 11 — the
+        // same verdict with or without a fault plan attached.
+        let membership = ChurnPlan::new(0).leave(1, 5..10).membership(3);
+        let net = ChurnMasked::new(
+            StaticGraph::new(generators::directed_ring(3)),
+            membership.clone(),
+        );
+        let keep = |_: usize, parked: &u32| *parked;
+        let quiescent = FaultPlan::new(0);
+        for plan in [None, Some(&quiescent)] {
+            let mut exec = Execution::new(Broadcast(Keep), vec![5, 5, 5]);
+            let mut cfg = RunConfig::rounds(20)
+                .membership(&membership, &keep)
+                .measure(&DiscreteMetric, &5u32, 0.0);
+            if let Some(plan) = plan {
+                cfg = cfg.faults(plan);
+            }
+            let report = exec.drive(&net, cfg);
+            assert_eq!(report.last_fault_round, 10);
+            assert_eq!(report.converged_at, Some(11));
+            assert_eq!(report.convergence_rounds, Some(1));
+        }
+    }
+
+    #[test]
+    fn already_converged_states_report_round_one() {
         use crate::metric::{DiscreteMetric, EuclideanMetric};
         // Outputs sit on the target from the start; convergence is still
         // dated to the end of round 1, the first *measured* round.
@@ -858,26 +780,13 @@ mod tests {
         assert_eq!(report.rounds_run, 4);
         assert!(report.distances.iter().all(|&d| d == 0.0));
         // Same under a continuous metric on f64 outputs.
-        struct KeepF;
-        impl BroadcastAlgorithm for KeepF {
-            type State = f64;
-            type Msg = ();
-            type Output = f64;
-            fn message(&self, _: &f64) {}
-            fn transition(&self, s: &f64, _: &[()]) -> f64 {
-                *s
-            }
-            fn output(&self, s: &f64) -> f64 {
-                *s
-            }
-        }
         let mut exec = Execution::new(Broadcast(KeepF), vec![2.5, 2.5, 2.5]);
         let report = exec.drive(
             &net,
             RunConfig::rounds(4).measure(&EuclideanMetric, &2.5, 0.0),
         );
         assert_eq!(report.converged_at, Some(1));
-        // run_until_converged stops right after the confirm window.
+        // A confirm window stops right after it closes.
         let mut exec = Execution::new(Broadcast(Keep), vec![5, 5, 5]);
         let report = exec.drive(
             &net,
@@ -892,19 +801,6 @@ mod tests {
     #[test]
     fn eps_zero_discrete_vs_euclidean() {
         use crate::metric::{DiscreteMetric, EuclideanMetric};
-        struct KeepF;
-        impl BroadcastAlgorithm for KeepF {
-            type State = f64;
-            type Msg = ();
-            type Output = f64;
-            fn message(&self, _: &f64) {}
-            fn transition(&self, s: &f64, _: &[()]) -> f64 {
-                *s
-            }
-            fn output(&self, s: &f64) -> f64 {
-                *s
-            }
-        }
         let net = StaticGraph::new(generators::directed_ring(3));
         // Outputs a hair off the target: the discrete metric says
         // distance 1 and the euclidean metric a tiny positive number —
@@ -996,12 +892,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_routing_restores_delivery_order() {
+    fn parallel_step_keeps_canonical_delivery_order() {
         // In-star built with sources in *descending* order, so the
         // center's in-edge list is the reverse of the canonical
         // ascending-source delivery order; the self-loops come last.
-        // step_parallel routes by in-edge list and must sort back to
-        // canonical order, or the f64 fold below rounds differently.
+        // Routing by in-edge list would deliver in that order, and the
+        // f64 fold below would round differently.
         let n = 6;
         let mut g = Digraph::new(n);
         for src in (1..n).rev() {

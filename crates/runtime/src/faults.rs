@@ -8,38 +8,42 @@
 //! duplicates messages, and crashes agents?
 //!
 //! Everything follows the §5.3 idiom that [`crate::adversary::AsyncStarts`]
-//! established: a fault regime is a **transformation of the dynamic
-//! graph**, not a change to the executor or to the algorithm's contract.
-//! Two layers are provided, because link faults have two inequivalent
-//! readings:
+//! established: a fault regime is a **transformation of delivery**, not
+//! a second executor or a change to the algorithm's contract. Link
+//! faults have two inequivalent readings, and one [`FaultPlan`] serves
+//! both:
 //!
-//! - [`FaultyNetwork`] applies a [`FaultPlan`] at the **graph level**.
-//!   A dropped link is removed *before* senders compute their messages,
+//! - [`FaultyNetwork`] applies the plan at the **graph level**. A
+//!   dropped link is removed *before* senders compute their messages,
 //!   so an outdegree-aware sender sees its true (reduced) audience. This
 //!   is the fail-aware reading: Push-Sum under a `FaultyNetwork` still
 //!   conserves mass, because its shares are split over surviving links
 //!   only. Self-loops always survive and crashed agents keep *only*
 //!   their self-loop, exactly mirroring the `i = j` exemption of the
 //!   async-start masking.
-//! - [`FaultyExecution`] applies the same plan at the **message level**:
-//!   messages are computed against the scripted graph and *then* lost in
-//!   flight. Senders overestimate their audience, which is where real
-//!   lossy networks break mass conservation. Undeliverable messages are
-//!   bounced back to their sender within the communication-closed round
-//!   (a link-layer NACK), and what the sender does with the bounce is the
-//!   algorithm's choice via [`FaultAware::reabsorb`]: a self-healing
-//!   algorithm re-merges the lost shares, while [`Lossy`] discards them —
-//!   the negative control.
+//! - [`RunConfig::faults`](crate::RunConfig::faults) applies the same
+//!   plan at the **message level**, as a stage of
+//!   [`Execution`](crate::Execution)'s route: messages are computed
+//!   against the scripted graph and *then* lost in flight. Senders
+//!   overestimate their audience, which is where real lossy networks
+//!   break mass conservation. Per round `t`, a crashed agent sends
+//!   nothing and keeps its state frozen (crash-recover resumes from that
+//!   state); every non-self-loop message is bounced if its recipient is
+//!   crashed, else dropped, duplicated or delivered per the plan's
+//!   coins; self-loop messages always deliver. Undeliverable messages
+//!   return to their sender within the communication-closed round (a
+//!   link-layer NACK), and what the sender does with the bounce is the
+//!   algorithm's choice via [`crate::Algorithm::reabsorb`]: a
+//!   self-healing algorithm re-merges the lost shares, while the default
+//!   discards them — the negative control.
 //!
-//! Both layers are driven by the same deterministic, serializable
-//! [`FaultPlan`]: every coin is a pure function of `(seed, round, src,
-//! dst)`, so a fault script can be stored next to an experiment's JSON
-//! output and replayed bit-for-bit.
+//! The plan is deterministic and serializable: every coin is a pure
+//! function of `(seed, round, src, dst)`, so a fault script can be
+//! stored next to an experiment's JSON output and replayed bit-for-bit,
+//! and one plan describes one fault pattern at either layer. Faults
+//! actually injected are counted in [`FaultEvents`], reported through
+//! [`CellReport::events`](crate::CellReport::events).
 
-use crate::algorithm::Algorithm;
-use crate::config::RunConfig;
-use crate::metric::Metric;
-use crate::report::CellReport;
 use kya_graph::{Digraph, DynamicGraph};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -337,7 +341,8 @@ impl FaultPlan {
 
 /// A [`DynamicGraph`] adversary applying a [`FaultPlan`] *before* the
 /// round is communicated — the fail-aware reading of link faults (see
-/// the module docs for the contrast with [`FaultyExecution`]).
+/// the module docs for the contrast with the message-level
+/// [`RunConfig::faults`](crate::RunConfig::faults) stage).
 ///
 /// Round `t`'s graph is the inner graph with: every link incident to a
 /// crashed agent removed, every link whose drop coin fires removed
@@ -421,87 +426,43 @@ impl<G: DynamicGraph> DynamicGraph for FaultyNetwork<G> {
 }
 
 // ---------------------------------------------------------------------
-// Message-level faults: FaultAware, Lossy, FaultyExecution
+// Message-level faults: the route's fault stage
 // ---------------------------------------------------------------------
 
-/// An [`Algorithm`] that can handle link-layer bounces: when a message
-/// it sent is undeliverable (dropped in flight or addressed to a crashed
-/// agent), the runtime returns it within the same communication-closed
-/// round and calls [`FaultAware::reabsorb`] after the regular
-/// transition.
-///
-/// `reabsorb` is the algorithm's self-healing hook: a mass-conserving
-/// algorithm folds the lost shares back into its state (they are
-/// rescattered over surviving links next round), while a fault-oblivious
-/// algorithm ignores them — see [`Lossy`].
-pub trait FaultAware: Algorithm {
-    /// The state after folding back `lost`, the messages this agent sent
-    /// this round that were not delivered. Called after
-    /// [`Algorithm::transition`], only when `lost` is non-empty.
-    fn reabsorb(&self, state: &Self::State, lost: &[Self::Msg]) -> Self::State;
+/// The message-level fault stage's verdict on one in-flight message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Fate {
+    /// Delivered once.
+    Deliver,
+    /// Delivered twice.
+    Duplicate,
+    /// Lost in flight; bounced back to the sender.
+    Dropped,
+    /// Addressed to a crashed agent; bounced back to the sender.
+    Bounced,
 }
 
-/// Adapter running any algorithm under message loss *without* healing:
-/// bounced messages are discarded. This is the negative control of the
-/// F6 experiments — e.g. plain Push-Sum wrapped in `Lossy` leaks mass on
-/// every dropped share and converges to the wrong value.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Lossy<A>(pub A);
-
-impl<A: Algorithm> Algorithm for Lossy<A> {
-    type State = A::State;
-    type Msg = A::Msg;
-    type Output = A::Output;
-
-    fn send(&self, state: &Self::State, outdegree: usize) -> Vec<Self::Msg> {
-        self.0.send(state, outdegree)
-    }
-
-    fn transition(&self, state: &Self::State, inbox: &[Self::Msg]) -> Self::State {
-        self.0.transition(state, inbox)
-    }
-
-    fn transition_with_outdegree(
-        &self,
-        state: &Self::State,
-        outdegree: usize,
-        inbox: &[Self::Msg],
-    ) -> Self::State {
-        self.0.transition_with_outdegree(state, outdegree, inbox)
-    }
-
-    fn output(&self, state: &Self::State) -> Self::Output {
-        self.0.output(state)
+impl FaultPlan {
+    /// The fate of the round-`t` message `src -> dst`, given which
+    /// agents are crashed this round (`frozen`; empty when no crash
+    /// window applies). Self-loop messages always deliver.
+    pub(crate) fn fate(&self, t: u64, src: usize, dst: usize, frozen: &[bool]) -> Fate {
+        if src == dst {
+            Fate::Deliver
+        } else if frozen.get(dst).copied().unwrap_or(false) {
+            Fate::Bounced
+        } else if self.drops(t, src, dst) {
+            Fate::Dropped
+        } else if self.duplicates(t, src, dst) {
+            Fate::Duplicate
+        } else {
+            Fate::Deliver
+        }
     }
 }
 
-impl<A: Algorithm> FaultAware for Lossy<A> {
-    fn reabsorb(&self, state: &Self::State, _lost: &[Self::Msg]) -> Self::State {
-        state.clone()
-    }
-}
-
-/// Outdegree-aware algorithms with a self-healing bounce handler.
-///
-/// This is the isotropic-model face of [`FaultAware`]: implement it for
-/// an [`IsotropicAlgorithm`](crate::IsotropicAlgorithm) and the
-/// [`Isotropic`](crate::Isotropic) adapter becomes [`FaultAware`] for
-/// free. (Downstream crates cannot implement the foreign `FaultAware`
-/// for the foreign adapter directly — the orphan rule forbids it — so
-/// the adapter forwarding lives here, next to the adapter.)
-pub trait FaultAwareIsotropic: crate::IsotropicAlgorithm {
-    /// The state after folding back `lost` undelivered messages; see
-    /// [`FaultAware::reabsorb`].
-    fn reabsorb(&self, state: &Self::State, lost: &[Self::Msg]) -> Self::State;
-}
-
-impl<A: FaultAwareIsotropic> FaultAware for crate::Isotropic<A> {
-    fn reabsorb(&self, state: &Self::State, lost: &[Self::Msg]) -> Self::State {
-        self.0.reabsorb(state, lost)
-    }
-}
-
-/// Counters of faults actually injected by a [`FaultyExecution`].
+/// Counters of faults actually injected by a
+/// [`RunConfig::faults`](crate::RunConfig::faults) run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultEvents {
     /// Messages dropped in flight.
@@ -516,434 +477,16 @@ pub struct FaultEvents {
     pub last_fault_round: u64,
 }
 
-/// A conserved-quantity deficit measure over the full state vector,
-/// used by [`FaultyExecution::run_with_recovery`] — 0 means perfectly
-/// conserved (for Push-Sum, the lost weight mass).
-pub type Invariant<'a, S> = &'a dyn Fn(&[S]) -> f64;
-
-/// An executor injecting a [`FaultPlan`] at the **message level**: the
-/// fail-oblivious reading of link faults, where senders compute their
-/// messages against the scripted graph and lose some of them in flight.
-///
-/// Semantics per round `t` (communication closed, as in
-/// [`Execution`](crate::Execution)):
-///
-/// 1. A **crashed** agent (per the plan's windows) sends nothing and
-///    keeps its state frozen — it resumes from that state if its window
-///    ends (crash-recover) or never (crash-stop).
-/// 2. Every live agent sends as usual. Each non-self-loop message is
-///    then dropped i.i.d. with the plan's drop rate, delivered twice
-///    with its duplication rate, and bounced if its recipient is
-///    crashed. Self-loop messages always deliver.
-/// 3. Live agents transition on what actually arrived, then
-///    [`FaultAware::reabsorb`] their bounced messages.
-///
-/// The drop coins are the *same* pure function used by
-/// [`FaultyNetwork`], so one plan describes one fault pattern at either
-/// layer.
-#[derive(Clone, Debug)]
-pub struct FaultyExecution<A: FaultAware> {
-    algo: A,
-    states: Vec<A::State>,
-    round: u64,
-    plan: FaultPlan,
-    events: FaultEvents,
-}
-
-impl<A: FaultAware> FaultyExecution<A> {
-    /// Start a faulted execution from the given initial states.
-    pub fn new(algo: A, initial_states: Vec<A::State>, plan: FaultPlan) -> FaultyExecution<A> {
-        for w in plan.crashes() {
-            assert!(
-                w.agent < initial_states.len(),
-                "crash window names agent {} but there are {} agents",
-                w.agent,
-                initial_states.len()
-            );
+impl FaultEvents {
+    /// Count one message's fate at round `t`.
+    pub(crate) fn record(&mut self, t: u64, fate: Fate) {
+        match fate {
+            Fate::Deliver => return,
+            Fate::Duplicate => self.duplicated += 1,
+            Fate::Dropped => self.dropped += 1,
+            Fate::Bounced => self.bounced_to_crashed += 1,
         }
-        FaultyExecution {
-            algo,
-            states: initial_states,
-            round: 0,
-            plan,
-            events: FaultEvents::default(),
-        }
-    }
-
-    /// Number of agents.
-    pub fn n(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Rounds executed so far.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Current states, indexed by agent.
-    pub fn states(&self) -> &[A::State] {
-        &self.states
-    }
-
-    /// Current outputs, indexed by agent.
-    pub fn outputs(&self) -> Vec<A::Output> {
-        self.states.iter().map(|s| self.algo.output(s)).collect()
-    }
-
-    /// The algorithm being executed.
-    pub fn algorithm(&self) -> &A {
-        &self.algo
-    }
-
-    /// The fault script.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Counters of faults injected so far.
-    pub fn events(&self) -> &FaultEvents {
-        &self.events
-    }
-
-    /// Execute one round on `graph`, injecting the plan's message-level
-    /// faults.
-    ///
-    /// Surviving messages keep the canonical ascending `(source id,
-    /// port rank)` delivery order of
-    /// [`Execution::step`](crate::Execution::step) — faults delete or
-    /// duplicate entries in place, they never reorder — so a quiescent
-    /// plan is bit-identical to the fault-free executor even for
-    /// order-sensitive f64 algorithms (conformance check `paths`).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Execution::step`](crate::Execution::step):
-    /// matching vertex count, self-loops everywhere, correct message
-    /// counts from the algorithm.
-    pub fn step(&mut self, graph: &Digraph) {
-        self.step_observed(graph, &mut crate::telemetry::NullObserver);
-    }
-
-    /// Like [`FaultyExecution::step`], with an
-    /// [`Observer`](crate::telemetry::Observer) seeing delivered
-    /// messages (`on_message`, twice for a duplicated one) and messages
-    /// lost to faults (`on_message_dropped`, covering both in-flight
-    /// drops and bounces off crashed recipients).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`FaultyExecution::step`].
-    pub fn step_observed<O: crate::telemetry::Observer<A>>(
-        &mut self,
-        graph: &Digraph,
-        obs: &mut O,
-    ) {
-        assert_eq!(graph.n(), self.states.len(), "graph size != agent count");
-        self.round += 1;
-        let t = self.round;
-        let n = graph.n();
-        let frozen: Vec<bool> = (0..n).map(|v| self.plan.is_crashed(v, t)).collect();
-        if frozen.iter().any(|&f| f) {
-            self.events.crashed_rounds += 1;
-            self.events.last_fault_round = t;
-        }
-
-        obs.on_round_start(t, &self.states);
-        let mut inboxes: Vec<Vec<A::Msg>> = (0..n)
-            .map(|v| Vec::with_capacity(graph.indegree(v)))
-            .collect();
-        let mut bounced: Vec<Vec<A::Msg>> = vec![Vec::new(); n];
-        for v in 0..n {
-            assert!(
-                graph.has_self_loop(v),
-                "round {t}: vertex {v} lacks a self-loop"
-            );
-            if frozen[v] {
-                continue; // crashed: sends nothing, state frozen below
-            }
-            let outdeg = graph.outdegree(v);
-            let msgs = self.algo.send(&self.states[v], outdeg);
-            assert_eq!(
-                msgs.len(),
-                outdeg,
-                "algorithm produced {} messages for outdegree {outdeg}",
-                msgs.len()
-            );
-            // Same port discipline as the fault-free executor.
-            for (msg, &e) in msgs.into_iter().zip(graph.port_ranks().out_edges_ranked(v)) {
-                let dst = graph.edges()[e].dst;
-                if dst == v {
-                    obs.on_message(t, v, dst, &msg);
-                    inboxes[dst].push(msg);
-                } else if frozen[dst] {
-                    self.events.bounced_to_crashed += 1;
-                    self.events.last_fault_round = t;
-                    obs.on_message_dropped(t, v, dst, &msg);
-                    bounced[v].push(msg);
-                } else if self.plan.drops(t, v, dst) {
-                    self.events.dropped += 1;
-                    self.events.last_fault_round = t;
-                    obs.on_message_dropped(t, v, dst, &msg);
-                    bounced[v].push(msg);
-                } else if self.plan.duplicates(t, v, dst) {
-                    self.events.duplicated += 1;
-                    self.events.last_fault_round = t;
-                    obs.on_message(t, v, dst, &msg);
-                    obs.on_message(t, v, dst, &msg);
-                    inboxes[dst].push(msg.clone());
-                    inboxes[dst].push(msg);
-                } else {
-                    obs.on_message(t, v, dst, &msg);
-                    inboxes[dst].push(msg);
-                }
-            }
-        }
-        for (v, (inbox, lost)) in inboxes.into_iter().zip(bounced).enumerate() {
-            if frozen[v] {
-                continue;
-            }
-            let mut next =
-                self.algo
-                    .transition_with_outdegree(&self.states[v], graph.outdegree(v), &inbox);
-            if !lost.is_empty() {
-                next = self.algo.reabsorb(&next, &lost);
-            }
-            self.states[v] = next;
-        }
-        obs.on_round_end(t, &self.algo, &self.states);
-    }
-
-    /// Execute one run described by a [`RunConfig`]: the single entry
-    /// point behind every legacy `run*` method, sharing the builder
-    /// with [`Execution::drive`](crate::Execution::drive).
-    ///
-    /// Fault-specific semantics on top of the fault-free `drive`:
-    ///
-    /// - the report's `last_fault_round` covers every fault injected
-    ///   during the run, and — when a
-    ///   [`membership`](RunConfig::membership) is attached — the last
-    ///   membership transition inside the budget, so `converged_at`
-    ///   only reports recovery after both scripts went quiet;
-    /// - the report's `events` are the delta of fault counters over
-    ///   this run.
-    ///
-    /// # Panics
-    ///
-    /// The faulted executor is sequential: panics if
-    /// [`threads`](RunConfig::threads) is not 1. Also panics under the
-    /// same contract as [`FaultyExecution::step`].
-    pub fn drive(&mut self, net: &dyn DynamicGraph, cfg: RunConfig<'_, A>) -> CellReport {
-        let RunConfig {
-            rounds,
-            threads,
-            mut observer,
-            membership,
-            dist,
-            eps,
-            confirm,
-            invariant,
-            bandwidth,
-        } = cfg;
-        assert_eq!(
-            threads, 1,
-            "FaultyExecution::drive is sequential; threads must be 1"
-        );
-        let start = self.round;
-        let events_before = self.events;
-        let mut distances = Vec::new();
-        let mut entered: Option<u64> = None;
-        let mut executed: u64 = 0;
-        while executed < rounds {
-            if let Some((membership, reinit)) = membership {
-                self.apply_rejoins(membership, reinit);
-            }
-            let g = net.graph_ref(self.round + 1);
-            if let Some((cap, ledger)) = bandwidth {
-                ledger.charge_round(g.edge_count() as u64, cap.bits_per_edge());
-            }
-            match &mut observer {
-                Some(o) => self.step_observed(&g, o),
-                None => self.step(&g),
-            }
-            executed += 1;
-            if let Some(dist) = &dist {
-                let d = dist(&self.outputs());
-                distances.push(d);
-                // An output went NaN/inf: no later round can recover,
-                // so seal the report with `diverged_at` instead of
-                // burning the remaining budget.
-                if !d.is_finite() {
-                    break;
-                }
-                if let Some(confirm) = confirm {
-                    if d <= eps {
-                        let at = *entered.get_or_insert(self.round);
-                        if self.round - at >= confirm {
-                            break;
-                        }
-                    } else {
-                        entered = None;
-                    }
-                }
-            }
-        }
-        let last_fault_round = {
-            let faults = if self.events.last_fault_round > start {
-                self.events.last_fault_round
-            } else {
-                0
-            };
-            let churn = match membership {
-                Some((membership, _)) => {
-                    let churn = membership.last_transition();
-                    // Clamp to the final round: transitions beyond the
-                    // budget leave the trace unconverged, which is the
-                    // honest verdict.
-                    if churn > start {
-                        churn.min(self.round)
-                    } else {
-                        0
-                    }
-                }
-                None => 0,
-            };
-            faults.max(churn)
-        };
-        let mut events = self.events;
-        events.dropped -= events_before.dropped;
-        events.duplicated -= events_before.duplicated;
-        events.bounced_to_crashed -= events_before.bounced_to_crashed;
-        events.crashed_rounds -= events_before.crashed_rounds;
-        let measured = dist.is_some();
-        let mut report = CellReport::from_trace(
-            start,
-            distances,
-            eps,
-            last_fault_round,
-            events,
-            invariant.map(|f| f(&self.states)),
-        );
-        if !measured {
-            report.rounds_run = executed;
-        }
-        if let Some(obs) = observer.as_mut() {
-            if let Some(round) = report.converged_at {
-                obs.on_converged(round, report.final_distance);
-            }
-        }
-        report
-    }
-
-    /// Execute `rounds` rounds on a dynamic graph.
-    #[deprecated(note = "use `drive(net, RunConfig::rounds(rounds))`")]
-    pub fn run(&mut self, net: &dyn DynamicGraph, rounds: u64) {
-        self.drive(net, RunConfig::rounds(rounds));
-    }
-
-    /// Execute `rounds` rounds while measuring distance to `target`
-    /// under `metric` each round, and report recovery: the rounds needed
-    /// after the last injected fault for every output to re-enter (and
-    /// stay in) the ε-ball around the target.
-    ///
-    /// `invariant` optionally measures the deficit of a conserved
-    /// quantity at the end of the run (0 means perfectly conserved) —
-    /// for Push-Sum, the lost mass.
-    #[deprecated(
-        note = "use `drive(net, RunConfig::rounds(rounds).measure(metric, target, eps).invariant(f))`"
-    )]
-    pub fn run_with_recovery<M: Metric<A::Output>>(
-        &mut self,
-        net: &dyn DynamicGraph,
-        rounds: u64,
-        metric: &M,
-        target: &A::Output,
-        eps: f64,
-        invariant: Option<Invariant<'_, A::State>>,
-    ) -> CellReport {
-        let mut cfg = RunConfig::rounds(rounds).measure(metric, target, eps);
-        if let Some(f) = invariant {
-            cfg = cfg.invariant(f);
-        }
-        self.drive(net, cfg)
-    }
-
-    /// Like [`FaultyExecution::run_with_recovery`], driving an
-    /// [`Observer`](crate::telemetry::Observer) each round (fault drops
-    /// fire `on_message_dropped`; `on_converged` fires once the report
-    /// is sealed, if the outputs recovered).
-    #[allow(clippy::too_many_arguments)] // mirrors run_with_recovery + observer
-    #[deprecated(
-        note = "use `drive(net, RunConfig::rounds(rounds).measure(metric, target, eps).invariant(f).observer(obs))`"
-    )]
-    pub fn run_with_recovery_observed<M: Metric<A::Output>, O: crate::telemetry::Observer<A>>(
-        &mut self,
-        net: &dyn DynamicGraph,
-        rounds: u64,
-        metric: &M,
-        target: &A::Output,
-        eps: f64,
-        invariant: Option<Invariant<'_, A::State>>,
-        obs: &mut O,
-    ) -> CellReport {
-        let mut cfg = RunConfig::rounds(rounds)
-            .measure(metric, target, eps)
-            .observer(obs);
-        if let Some(f) = invariant {
-            cfg = cfg.invariant(f);
-        }
-        self.drive(net, cfg)
-    }
-
-    /// Apply the membership's rejoin transitions for the upcoming round;
-    /// see [`Execution::apply_rejoins`](crate::Execution::apply_rejoins)
-    /// — identical semantics on the faulted executor.
-    pub fn apply_rejoins(
-        &mut self,
-        membership: &crate::churn::Membership,
-        reinit: &dyn Fn(usize, &A::State) -> A::State,
-    ) -> Vec<usize> {
-        let rejoining = membership.rejoining_at(self.round + 1);
-        if membership.policy() == crate::churn::ReinjectPolicy::Reset {
-            for &v in &rejoining {
-                self.states[v] = reinit(v, &self.states[v]);
-            }
-        }
-        rejoining
-    }
-
-    /// Like [`FaultyExecution::run_with_recovery`], under churn: each
-    /// round first applies the membership's rejoin policy
-    /// ([`FaultyExecution::apply_rejoins`]), then steps with the plan's
-    /// message-level faults. The network is expected to mask absent
-    /// agents (wrap it in [`crate::churn::ChurnMasked`]).
-    ///
-    /// Membership transitions count as faults for the recovery
-    /// measurement: `last_fault_round` is extended to the last leave or
-    /// rejoin inside the run, so `converged_at` only reports rounds
-    /// after *both* the fault script and the churn script went quiet. A
-    /// membership still churning when the budget ends never converges.
-    #[allow(clippy::too_many_arguments)] // mirrors run_with_recovery + membership
-    #[deprecated(
-        note = "use `drive(net, RunConfig::rounds(rounds).membership(membership, reinit).measure(metric, target, eps).invariant(f))`"
-    )]
-    pub fn run_with_recovery_churned<M: Metric<A::Output>>(
-        &mut self,
-        net: &dyn DynamicGraph,
-        membership: &crate::churn::Membership,
-        reinit: &dyn Fn(usize, &A::State) -> A::State,
-        rounds: u64,
-        metric: &M,
-        target: &A::Output,
-        eps: f64,
-        invariant: Option<Invariant<'_, A::State>>,
-    ) -> CellReport {
-        let mut cfg = RunConfig::rounds(rounds)
-            .membership(membership, reinit)
-            .measure(metric, target, eps);
-        if let Some(f) = invariant {
-            cfg = cfg.invariant(f);
-        }
-        self.drive(net, cfg)
+        self.last_fault_round = t;
     }
 }
 
@@ -952,6 +495,7 @@ mod tests {
     use super::*;
     use crate::algorithm::{Broadcast, BroadcastAlgorithm};
     use crate::metric::DiscreteMetric;
+    use crate::{CellReport, Execution, RunConfig};
     use kya_graph::{generators, StaticGraph};
 
     /// Max-flood gossip, used as a fault-oblivious probe.
@@ -1104,30 +648,32 @@ mod tests {
     fn faulty_execution_freezes_crashed_agents() {
         // Agent 1 crashes before the flood reaches it and recovers
         // later: while frozen its state must not change.
-        let g = generators::directed_ring(4).with_self_loops();
+        let net = StaticGraph::new(generators::directed_ring(4));
         let plan = FaultPlan::new(0).crash(1, 1..6);
-        let mut exec = FaultyExecution::new(Lossy(Broadcast(MaxFlood)), vec![9, 0, 0, 0], plan);
+        let mut exec = Execution::new(Broadcast(MaxFlood), vec![9, 0, 0, 0]);
+        let mut events = FaultEvents::default();
         for _ in 0..5 {
-            exec.step(&g);
+            let report = exec.drive(&net, RunConfig::rounds(1).faults(&plan));
+            events.crashed_rounds += report.events.crashed_rounds;
+            events.bounced_to_crashed += report.events.bounced_to_crashed;
             assert_eq!(exec.states()[1], 0, "frozen during the window");
         }
         // After recovery the flood proceeds.
-        for _ in 0..8 {
-            exec.step(&g);
-        }
+        exec.drive(&net, RunConfig::rounds(8).faults(&plan));
         assert!(exec.outputs().iter().all(|&x| x == 9));
-        assert!(exec.events().crashed_rounds >= 5);
-        assert!(exec.events().bounced_to_crashed > 0);
+        assert_eq!(events.crashed_rounds, 5);
+        assert!(events.bounced_to_crashed > 0);
     }
 
     #[test]
-    fn lossy_wrapper_discards_bounces() {
-        // Sum-accumulator whose reabsorb would matter: under Lossy the
-        // lost message is simply gone.
-        let g = generators::directed_ring(2).with_self_loops();
+    fn default_reabsorb_discards_bounces() {
+        // Max-flood keeps the default `reabsorb`: the message bounced off
+        // the crashed agent is simply gone.
+        let net = StaticGraph::new(generators::directed_ring(2));
         let plan = FaultPlan::new(0).crash_stop(1, 1);
-        let mut exec = FaultyExecution::new(Lossy(Broadcast(MaxFlood)), vec![5, 1], plan);
-        exec.step(&g);
+        let mut exec = Execution::new(Broadcast(MaxFlood), vec![5, 1]);
+        let report = exec.drive(&net, RunConfig::rounds(1).faults(&plan));
+        assert_eq!(report.events.bounced_to_crashed, 1);
         assert_eq!(exec.states(), &[5, 1], "bounce discarded, states stable");
     }
 
@@ -1137,10 +683,12 @@ mod tests {
         // completes only after it recovers.
         let net = StaticGraph::new(generators::directed_ring(4));
         let plan = FaultPlan::new(0).crash(1, 1..4);
-        let mut exec = FaultyExecution::new(Lossy(Broadcast(MaxFlood)), vec![9, 0, 0, 0], plan);
+        let mut exec = Execution::new(Broadcast(MaxFlood), vec![9, 0, 0, 0]);
         let report = exec.drive(
             &net,
-            RunConfig::rounds(20).measure(&DiscreteMetric, &9u32, 0.0),
+            RunConfig::rounds(20)
+                .measure(&DiscreteMetric, &9u32, 0.0)
+                .faults(&plan),
         );
         assert_eq!(report.last_fault_round, 3);
         assert_eq!(report.max_divergence_during_faults, 1.0);
@@ -1160,13 +708,24 @@ mod tests {
     fn recovery_report_serializes() {
         let net = StaticGraph::new(generators::complete(3));
         let plan = FaultPlan::new(5).drop_links(0.2);
-        let mut exec = FaultyExecution::new(Lossy(Broadcast(MaxFlood)), vec![1, 2, 3], plan);
+        let mut exec = Execution::new(Broadcast(MaxFlood), vec![1, 2, 3]);
         let report = exec.drive(
             &net,
-            RunConfig::rounds(10).measure(&DiscreteMetric, &3u32, 0.0),
+            RunConfig::rounds(10)
+                .measure(&DiscreteMetric, &3u32, 0.0)
+                .faults(&plan),
         );
         let json = serde::to_json_string(&report);
         let back: CellReport = serde::from_json_str(&json).expect("parses");
         assert_eq!(back, report);
+    }
+
+    #[test]
+    #[should_panic(expected = "names agent")]
+    fn crash_window_outside_the_population_is_rejected() {
+        let net = StaticGraph::new(generators::directed_ring(3));
+        let plan = FaultPlan::new(0).crash(3, 1..2);
+        let mut exec = Execution::new(Broadcast(MaxFlood), vec![1, 2, 3]);
+        exec.drive(&net, RunConfig::rounds(1).faults(&plan));
     }
 }

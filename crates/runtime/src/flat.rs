@@ -38,7 +38,7 @@ use crate::config::FlatRunConfig;
 use crate::execution::shard_ranges;
 use crate::faults::FaultEvents;
 use crate::probe::{FlatProbe, NullProbe, PhaseTimes, ShardCounters};
-use crate::report::CellReport;
+use crate::report::{CellReport, Trace};
 
 /// Target number of strided samples per state lane handed to
 /// [`FlatProbe::on_lane_sample`] each round. The stride is computed
@@ -471,43 +471,19 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
             confirm,
             bandwidth,
         } = cfg;
-        let start = self.round;
-        let mut distances = Vec::new();
-        let mut entered: Option<u64> = None;
-        let mut executed: u64 = 0;
-        while executed < rounds {
+        let mut trace = Trace::new(self.round, dist, eps, confirm);
+        for _ in 0..rounds {
             if let Some((cap, ledger)) = bandwidth {
                 // One send slot per edge: the same per-round charge as
                 // the boxed drive's `edge_count()`.
                 ledger.charge_round(self.plan.slots() as u64, cap.bits_per_edge());
             }
             self.step_probed(threads, probe);
-            executed += 1;
-            if let Some(dist) = &dist {
-                let d = dist(&self.outputs());
-                distances.push(d);
-                if !d.is_finite() {
-                    break;
-                }
-                if let Some(confirm) = confirm {
-                    if d <= eps {
-                        let at = *entered.get_or_insert(self.round);
-                        if self.round - at >= confirm {
-                            break;
-                        }
-                    } else {
-                        entered = None;
-                    }
-                }
+            if trace.record(self.round, || self.outputs()) {
+                break;
             }
         }
-        let measured = dist.is_some();
-        let mut report =
-            CellReport::from_trace(start, distances, eps, 0, FaultEvents::default(), None);
-        if !measured {
-            report.rounds_run = executed;
-        }
-        report
+        trace.seal(0, FaultEvents::default(), None)
     }
 }
 

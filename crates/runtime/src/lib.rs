@@ -46,12 +46,12 @@
 //! assert!(exec.outputs().iter().all(|&x| x == 5));
 //! ```
 //!
-//! Every run — plain, observed, measured, churned, parallel — goes
-//! through [`Execution::drive`] with a [`RunConfig`] describing the
-//! knobs; the legacy `run*` entry points survive as deprecated
-//! wrappers. Large-`n` f64 simulations can instead use the flat
-//! executor ([`flat::FlatExecution`]), which is bitwise identical to
-//! the boxed path at any thread count.
+//! Every run — plain, observed, measured, churned, faulted, parallel —
+//! goes through [`Execution::drive`] with a [`RunConfig`] describing the
+//! knobs; [`Execution::step`] and [`Execution::step_parallel`] advance a
+//! single unobserved round. Large-`n` f64 simulations can instead use
+//! the flat executor ([`flat::FlatExecution`]), which is bitwise
+//! identical to the boxed path at any thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

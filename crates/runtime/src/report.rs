@@ -5,14 +5,17 @@
 //! measures the same thing: a per-round worst-case distance trace to a
 //! target, summarized as "when did the outputs enter (and stay in) the
 //! ε-ball, and what happened along the way". [`CellReport`] is that
-//! summary, produced by [`Execution::run_until`](crate::Execution::run_until)
-//! and [`FaultyExecution::run_with_recovery`](crate::faults::FaultyExecution::run_with_recovery)
-//! alike, and consumed verbatim by the `kya_harness` result sink.
+//! summary, produced by every measured
+//! [`Execution::drive`](crate::Execution::drive) and
+//! [`FlatExecution::drive`](crate::FlatExecution::drive), faulted or
+//! not, and consumed verbatim by the `kya_harness` result sink.
 //!
-//! For a fault-free run the fault-specific fields are simply zero /
+//! For a run without adversary activity (no fault injected, no
+//! membership transition) the fault-specific fields are simply zero /
 //! default: `last_fault_round == 0`, `events == FaultEvents::default()`,
 //! and `converged_at` measures from the start of the run.
 
+use crate::config::DistanceFn;
 use crate::faults::FaultEvents;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -138,6 +141,90 @@ impl CellReport {
     /// Whether the outputs converged (entered the ε-ball and stayed).
     pub fn converged(&self) -> bool {
         self.converged_at.is_some()
+    }
+}
+
+/// The measurement side of a `drive` loop, shared by
+/// [`Execution::drive`](crate::Execution::drive) and
+/// [`FlatExecution::drive_probed`](crate::FlatExecution::drive_probed):
+/// it records the per-round distance trace, ends the run early, and
+/// seals the report.
+pub(crate) struct Trace<'a, O> {
+    start: u64,
+    dist: Option<DistanceFn<'a, O>>,
+    eps: f64,
+    confirm: Option<u64>,
+    distances: Vec<f64>,
+    entered: Option<u64>,
+    executed: u64,
+}
+
+impl<'a, O> Trace<'a, O> {
+    /// A trace for a run starting after round `start`; unmeasured when
+    /// `dist` is `None`.
+    pub(crate) fn new(
+        start: u64,
+        dist: Option<DistanceFn<'a, O>>,
+        eps: f64,
+        confirm: Option<u64>,
+    ) -> Self {
+        Trace {
+            start,
+            dist,
+            eps,
+            confirm,
+            distances: Vec::new(),
+            entered: None,
+            executed: 0,
+        }
+    }
+
+    /// Account the just-executed round `round`; `outputs` is evaluated
+    /// only when measuring. Returns whether the run must stop: an output
+    /// went non-finite (no later round can converge, so the report is
+    /// sealed with `diverged_at` instead of burning the budget), or the
+    /// outputs stayed in the ε-ball for the whole confirm window.
+    pub(crate) fn record(&mut self, round: u64, outputs: impl FnOnce() -> Vec<O>) -> bool {
+        self.executed += 1;
+        let Some(dist) = &self.dist else {
+            return false;
+        };
+        let d = dist(&outputs());
+        self.distances.push(d);
+        if !d.is_finite() {
+            return true;
+        }
+        if let Some(confirm) = self.confirm {
+            if d <= self.eps {
+                let at = *self.entered.get_or_insert(round);
+                return round - at >= confirm;
+            }
+            self.entered = None;
+        }
+        false
+    }
+
+    /// Summarize the run ([`CellReport::from_trace`]); an unmeasured
+    /// run reports only the rounds it executed.
+    pub(crate) fn seal(
+        self,
+        last_fault_round: u64,
+        events: FaultEvents,
+        mass_deficit: Option<f64>,
+    ) -> CellReport {
+        let measured = self.dist.is_some();
+        let mut report = CellReport::from_trace(
+            self.start,
+            self.distances,
+            self.eps,
+            last_fault_round,
+            events,
+            mass_deficit,
+        );
+        if !measured {
+            report.rounds_run = self.executed;
+        }
+        report
     }
 }
 

@@ -3,15 +3,16 @@
 //!
 //! The paper's quantitative claims are *rates* — Push-Sum's geometric
 //! convergence (Theorem 5.2) and the ergodic-coefficient bounds of
-//! §5.2–5.3 speak about per-round residual decay — yet a bare
-//! `run_until` only keeps the distance trace. An [`Observer`] hooks into
+//! §5.2–5.3 speak about per-round residual decay — yet a bare measured
+//! `drive` only keeps the distance trace. An [`Observer`] hooks into
 //! the executor's round structure and sees every round boundary and
 //! every delivered message, turning an execution into a measured one:
 //!
-//! - [`NullObserver`] — the zero-cost default. The plain `step`/`run*`
-//!   methods delegate to their `*_observed` twins with a `NullObserver`;
-//!   monomorphization erases the empty hooks entirely (a benchmark guard
-//!   in `tests/telemetry.rs` pins this).
+//! - [`NullObserver`] — the zero-cost default. `step`, `step_parallel`
+//!   and an unobserved `drive` run the executor's one round function with
+//!   a `NullObserver`; monomorphization erases the empty hooks entirely
+//!   (`tests/telemetry.rs` pins the unobserved round against an inline
+//!   baseline).
 //! - [`CountingObserver`] — messages delivered (split into self-loop and
 //!   real-link traffic), payload bytes, fault-dropped messages, and peak
 //!   state size, summarized as a [`CountSummary`].
@@ -38,9 +39,9 @@ use std::fmt::Write as _;
 /// Every hook has an empty default body, so an observer implements only
 /// what it measures. Within one round the executor guarantees the call
 /// order `on_round_start` → `on_message`/`on_message_dropped` (one call
-/// per message, in the deterministic routing order shared by `step` and
-/// `step_parallel`) → `on_round_end`; `on_converged` fires at most once
-/// per measuring run, after the report is sealed.
+/// per message, in the deterministic routing order every round shares,
+/// at any thread count) → `on_round_end`; `on_converged` fires at most
+/// once per measuring run, after the report is sealed.
 pub trait Observer<A: Algorithm> {
     /// A round began: `round` is the 1-based round number about to
     /// execute, `states` the configuration it starts from.
@@ -55,8 +56,8 @@ pub trait Observer<A: Algorithm> {
     }
 
     /// A message was lost to fault injection (dropped in flight or
-    /// bounced off a crashed recipient) — fired by
-    /// [`FaultyExecution`](crate::faults::FaultyExecution) only.
+    /// bounced off a crashed recipient) — fired only by runs with a
+    /// [`RunConfig::faults`](crate::RunConfig::faults) plan.
     fn on_message_dropped(&mut self, round: u64, src: usize, dst: usize, msg: &A::Msg) {
         let _ = (round, src, dst, msg);
     }
@@ -67,7 +68,7 @@ pub trait Observer<A: Algorithm> {
         let _ = (round, algo, states);
     }
 
-    /// A measuring run (`run_until*`) determined that the outputs
+    /// A measuring `drive` determined that the outputs
     /// converged at the end of `round` with final distance
     /// `final_distance`.
     fn on_converged(&mut self, round: u64, final_distance: f64) {
@@ -75,8 +76,9 @@ pub trait Observer<A: Algorithm> {
     }
 }
 
-// Forwarding impl so `&mut dyn Observer<A>` (what a `RunConfig` holds)
-// satisfies the `O: Observer<A>` bounds of `step_observed` and friends.
+// Forwarding impl so a `&mut O` can be handed on wherever an
+// `O: Observer<A>` is expected (e.g. a borrowed observer re-lent to a
+// `RunConfig`).
 impl<A: Algorithm, O: Observer<A> + ?Sized> Observer<A> for &mut O {
     fn on_round_start(&mut self, round: u64, states: &[A::State]) {
         (**self).on_round_start(round, states);
@@ -101,8 +103,8 @@ impl<A: Algorithm, O: Observer<A> + ?Sized> Observer<A> for &mut O {
 
 /// The zero-cost default observer: every hook is the empty default.
 ///
-/// `Execution::step` is exactly `step_observed(graph, &mut
-/// NullObserver)`; the generic instantiation compiles to the PR-2 loop.
+/// `Execution::step` runs the executor's round with a `NullObserver`;
+/// the generic instantiation compiles the hooks away.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NullObserver;
 
@@ -539,12 +541,10 @@ mod tests {
     fn counting_observer_counts_ring_traffic() {
         // Directed ring with self-loops: n real links + n self-loops per
         // round.
-        let g = generators::directed_ring(5).with_self_loops();
+        let net = StaticGraph::new(generators::directed_ring(5));
         let mut exec = Execution::new(Broadcast(MaxFlood), vec![1, 2, 3, 4, 9]);
         let mut obs = CountingObserver::new();
-        for _ in 0..4 {
-            exec.step_observed(&g, &mut obs);
-        }
+        exec.drive(&net, RunConfig::rounds(4).observer(&mut obs));
         let s = obs.summary();
         assert_eq!(s.rounds, 4);
         assert_eq!(s.messages, 4 * 5);

@@ -3,14 +3,14 @@
 //! *masked* — its edges vanish from the round graph, so no `on_message`
 //! **and no `on_message_dropped`** fires for it — whereas a message lost
 //! to the fault plan (drop or bounce off a crashed recipient) always
-//! fires `on_message_dropped`. These tests pin the distinction on the
-//! sequential faulted path and pin the churned observer stream's
-//! equality across the parallel executor's thread counts.
+//! fires `on_message_dropped`. These tests pin the distinction on
+//! faulted runs and pin the churned observer stream's equality across
+//! thread counts.
 
 use know_your_audience::algos::push_sum::{PushSum, PushSumState, SelfHealingPushSum};
 use know_your_audience::graph::{generators, StaticGraph};
 use know_your_audience::runtime::churn::{ChurnMasked, ChurnPlan};
-use know_your_audience::runtime::faults::{FaultPlan, FaultyExecution};
+use know_your_audience::runtime::faults::FaultPlan;
 use know_your_audience::runtime::{Algorithm, Execution, Isotropic, Observer, RunConfig};
 use proptest::prelude::*;
 
@@ -87,16 +87,14 @@ fn membership_transitions_never_fire_on_message_dropped() {
     let fresh = PushSumState::averaging(&values);
     let reinit = |v: usize, _parked: &PushSumState| fresh[v];
     let mut obs = Recorder::default();
-    let mut exec = FaultyExecution::new(
-        Isotropic(SelfHealingPushSum),
-        fresh.clone(),
-        FaultPlan::new(9),
-    );
+    let mut exec = Execution::new(Isotropic(SelfHealingPushSum), fresh.clone());
+    let quiescent = FaultPlan::new(9);
     exec.drive(
         &stack,
         RunConfig::rounds(20)
             .membership(&membership, &reinit)
-            .observer(&mut obs),
+            .observer(&mut obs)
+            .faults(&quiescent),
     );
     assert!(
         obs.events.iter().all(|e| !e.starts_with("drop")),
@@ -149,16 +147,14 @@ fn dropped_events_come_only_from_the_fault_plan() {
     let fresh = PushSumState::averaging(&values);
     let reinit = |v: usize, _parked: &PushSumState| fresh[v];
     let mut obs = Recorder::default();
-    let mut exec = FaultyExecution::new(
-        Isotropic(SelfHealingPushSum),
-        fresh.clone(),
-        FaultPlan::new(9).drop_links(0.4).until(horizon),
-    );
+    let mut exec = Execution::new(Isotropic(SelfHealingPushSum), fresh.clone());
+    let plan = FaultPlan::new(9).drop_links(0.4).until(horizon);
     let report = exec.drive(
         &stack,
         RunConfig::rounds(24)
             .membership(&membership, &reinit)
-            .observer(&mut obs),
+            .observer(&mut obs)
+            .faults(&plan),
     );
     assert!(report.events.dropped > 0, "drop plan actually fired");
     let drops: Vec<(u64, usize, usize)> = obs
@@ -182,8 +178,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The churned observer stream — rejoin re-injections included — is
-    /// identical on the sequential and sharded executors at 1, 2, and 4
-    /// threads: same hooks, same order, same arguments, same states.
+    /// identical at 1, 2, and 4 threads: same hooks, same order, same
+    /// arguments, same states.
     #[test]
     fn churned_observer_streams_agree_across_thread_counts(
         n in 4usize..12,

@@ -12,7 +12,7 @@ use know_your_audience::graph::{
     RoundRobinCover, SparselyConnected, StaticGraph, UniformRandom,
 };
 use know_your_audience::runtime::churn::{ChurnMasked, ChurnPlan};
-use know_your_audience::runtime::faults::{FaultPlan, FaultyExecution, FaultyNetwork, Lossy};
+use know_your_audience::runtime::faults::{FaultPlan, FaultyNetwork};
 use know_your_audience::runtime::metric::EuclideanMetric;
 use know_your_audience::runtime::testing::{check_self_stabilization, SelfStabOutcome};
 use know_your_audience::runtime::{Broadcast, Execution, Isotropic, RunConfig};
@@ -159,17 +159,17 @@ fn self_healing_push_sum_recovers_from_crash_recover() {
     let target = values.iter().sum::<f64>() / n as f64;
     let net = StaticGraph::new(generators::complete(n));
     let plan = FaultPlan::new(6).drop_links(0.3).until(40).crash(2, 10..30);
-    let mut exec = FaultyExecution::new(
+    let mut exec = Execution::new(
         Isotropic(SelfHealingPushSum),
         PushSumState::averaging(&values),
-        plan,
     );
     let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
     let report = exec.drive(
         &net,
         RunConfig::rounds(200)
             .measure(&EuclideanMetric, &target, 1e-9)
-            .invariant(&z_deficit),
+            .invariant(&z_deficit)
+            .faults(&plan),
     );
     assert!(report.events.dropped > 0 && report.events.bounced_to_crashed > 0);
     assert!(
@@ -185,7 +185,8 @@ fn self_healing_push_sum_recovers_from_crash_recover() {
 #[test]
 fn plain_push_sum_does_not_recover_from_message_loss() {
     // Negative control for the scenario above: identical fault script,
-    // but bounced shares are discarded. The weight mass decays during
+    // but plain Push-Sum keeps the default `reabsorb`, so bounced shares
+    // are discarded. The weight mass decays during
     // the fault window and the deficit persists forever — the outputs
     // settle on the quot-sum of the *surviving* mass, not the average.
     let values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
@@ -193,17 +194,14 @@ fn plain_push_sum_does_not_recover_from_message_loss() {
     let target = values.iter().sum::<f64>() / n as f64;
     let net = StaticGraph::new(generators::complete(n));
     let plan = FaultPlan::new(6).drop_links(0.3).until(40).crash(2, 10..30);
-    let mut exec = FaultyExecution::new(
-        Lossy(Isotropic(PushSum)),
-        PushSumState::averaging(&values),
-        plan,
-    );
+    let mut exec = Execution::new(Isotropic(PushSum), PushSumState::averaging(&values));
     let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
     let report = exec.drive(
         &net,
         RunConfig::rounds(200)
             .measure(&EuclideanMetric, &target, 1e-9)
-            .invariant(&z_deficit),
+            .invariant(&z_deficit)
+            .faults(&plan),
     );
     assert!(
         report.mass_deficit.unwrap() > 1.0,
@@ -233,14 +231,15 @@ fn self_healing_push_sum_recovers_under_pairing_churn_and_faults() {
     let plan = FaultPlan::new(6).drop_links(0.3).until(40);
     let fresh = PushSumState::averaging(&values);
     let reinit = |v: usize, _parked: &PushSumState| fresh[v];
-    let mut exec = FaultyExecution::new(Isotropic(SelfHealingPushSum), fresh.clone(), plan);
+    let mut exec = Execution::new(Isotropic(SelfHealingPushSum), fresh.clone());
     let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
     let report = exec.drive(
         &stack,
         RunConfig::rounds(400)
             .membership(&membership, &reinit)
             .measure(&EuclideanMetric, &target, 1e-9)
-            .invariant(&z_deficit),
+            .invariant(&z_deficit)
+            .faults(&plan),
     );
     assert!(report.events.dropped > 0, "faults actually fired");
     assert!(

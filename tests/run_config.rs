@@ -1,18 +1,19 @@
-//! The deprecated run-method wrappers are pure sugar over
-//! [`RunConfig`]: each one must leave the execution in the *same state*
-//! and return the *same report* as its documented builder spelling.
-//! This pins the migration table in `DESIGN.md` — if a wrapper ever
-//! drifts from its replacement, the deprecation note would be lying.
-
-#![allow(deprecated)]
+//! A configured [`Execution::drive`] is pure sugar over the explicit
+//! round loop: each knob combination must leave the execution in the
+//! *same state* and return the *same report* as the loop spelled out by
+//! hand — `step`/`apply_rejoins` rounds, or an unmeasured run whose
+//! distance trace is recorded by an observer and sealed with
+//! [`CellReport::from_trace`]. Each test is named after the retired
+//! `run*` spelling whose builder replacement it pins.
 
 use kya_algos::push_sum::{PushSum, PushSumState, SelfHealingPushSum};
-use kya_graph::generators;
-use kya_graph::StaticGraph;
-use kya_runtime::churn::{ChurnMasked, ChurnPlan};
-use kya_runtime::faults::{FaultPlan, FaultyExecution};
+use kya_graph::{generators, DynamicGraph, StaticGraph};
+use kya_runtime::churn::{ChurnMasked, ChurnPlan, Membership};
+use kya_runtime::faults::FaultPlan;
 use kya_runtime::metric::EuclideanMetric;
-use kya_runtime::{CountingObserver, Execution, Isotropic, RunConfig};
+use kya_runtime::{
+    Algorithm, CellReport, CountingObserver, Execution, Isotropic, ResidualObserver, RunConfig,
+};
 
 const N: usize = 8;
 const ROUNDS: u64 = 12;
@@ -25,44 +26,95 @@ fn avg() -> f64 {
     values().iter().sum::<f64>() / N as f64
 }
 
-fn fresh() -> (Execution<Isotropic<PushSum>>, StaticGraph) {
-    let exec = Execution::new(Isotropic(PushSum), PushSumState::averaging(&values()));
-    let net = StaticGraph::new(generators::random_strongly_connected(N, N, 7));
-    (exec, net)
+fn net() -> StaticGraph {
+    StaticGraph::new(generators::random_strongly_connected(N, N, 7))
 }
 
-/// The two executions' states, rendered for a single comparison.
-fn states(exec: &Execution<Isotropic<PushSum>>) -> String {
+fn fresh() -> Execution<Isotropic<PushSum>> {
+    Execution::new(Isotropic(PushSum), PushSumState::averaging(&values()))
+}
+
+fn fresh_healing() -> Execution<Isotropic<SelfHealingPushSum>> {
+    Execution::new(
+        Isotropic(SelfHealingPushSum),
+        PushSumState::averaging(&values()),
+    )
+}
+
+fn plan() -> FaultPlan {
+    FaultPlan::new(11).drop_links(0.2).until(ROUNDS / 2)
+}
+
+fn states<A: Algorithm>(exec: &Execution<A>) -> String {
     format!("{:?}", exec.states())
+}
+
+type Reinit<'a> = &'a dyn Fn(usize, &PushSumState) -> PushSumState;
+
+/// The report a measured `drive` must return, rebuilt by hand: the same
+/// run unmeasured, its per-round distances to the average recorded by a
+/// [`ResidualObserver`] and sealed with [`CellReport::from_trace`].
+fn by_hand<A>(
+    exec: &mut Execution<A>,
+    net: &dyn DynamicGraph,
+    plan: Option<&FaultPlan>,
+    churn: Option<(&Membership, Reinit<'_>)>,
+) -> CellReport
+where
+    A: Algorithm<State = PushSumState, Output = f64> + Sync,
+    A::Msg: Send + Sync,
+{
+    let mut residuals = ResidualObserver::new(EuclideanMetric, avg());
+    let mut cfg = RunConfig::rounds(ROUNDS).observer(&mut residuals);
+    if let Some(plan) = plan {
+        cfg = cfg.faults(plan);
+    }
+    if let Some((membership, reinit)) = churn {
+        cfg = cfg.membership(membership, reinit);
+    }
+    let unmeasured = exec.drive(net, cfg);
+    let trace = residuals.residuals().to_vec();
+    let last_fault = unmeasured.last_fault_round;
+    CellReport::from_trace(0, trace, 1e-9, last_fault, unmeasured.events, None)
 }
 
 #[test]
 fn run_matches_rounds_config() {
-    let (mut old, net) = fresh();
-    old.run(&net, ROUNDS);
-    let (mut new, _) = fresh();
-    new.drive(&net, RunConfig::rounds(ROUNDS));
+    let net = net();
+    let mut old = fresh();
+    for t in 1..=ROUNDS {
+        old.step(&net.graph_ref(t));
+    }
+    let mut new = fresh();
+    let report = new.drive(&net, RunConfig::rounds(ROUNDS));
     assert_eq!(states(&old), states(&new));
     assert_eq!(old.round(), new.round());
+    assert_eq!(report.rounds_run, ROUNDS);
 }
 
 #[test]
 fn run_observed_matches_observer_config() {
-    let (mut old, net) = fresh();
-    let mut obs_old = CountingObserver::new();
-    old.run_observed(&net, ROUNDS, &mut obs_old);
-    let (mut new, _) = fresh();
-    let mut obs_new = CountingObserver::new();
-    new.drive(&net, RunConfig::rounds(ROUNDS).observer(&mut obs_new));
-    assert_eq!(states(&old), states(&new));
-    assert_eq!(obs_old.summary(), obs_new.summary());
+    let net = net();
+    let mut plain = fresh();
+    plain.drive(&net, RunConfig::rounds(ROUNDS));
+    let mut new = fresh();
+    let mut obs = CountingObserver::new();
+    new.drive(&net, RunConfig::rounds(ROUNDS).observer(&mut obs));
+    assert_eq!(states(&plain), states(&new), "observing never perturbs");
+    let edges = net.underlying().edge_count() as u64;
+    assert_eq!(obs.summary().rounds, ROUNDS);
+    assert_eq!(
+        obs.summary().messages + obs.summary().self_messages,
+        ROUNDS * edges
+    );
 }
 
 #[test]
 fn run_until_matches_measure_config() {
-    let (mut old, net) = fresh();
-    let r_old = old.run_until(&net, &EuclideanMetric, &avg(), 1e-9, ROUNDS);
-    let (mut new, _) = fresh();
+    let net = net();
+    let mut old = fresh();
+    let r_old = by_hand(&mut old, &net, None, None);
+    let mut new = fresh();
     let r_new = new.drive(
         &net,
         RunConfig::rounds(ROUNDS).measure(&EuclideanMetric, &avg(), 1e-9),
@@ -73,71 +125,70 @@ fn run_until_matches_measure_config() {
 
 #[test]
 fn run_until_observed_matches_its_config() {
-    let (mut old, net) = fresh();
-    let mut obs_old = CountingObserver::new();
-    let r_old = old.run_until_observed(&net, &EuclideanMetric, &avg(), 1e-9, ROUNDS, &mut obs_old);
-    let (mut new, _) = fresh();
-    let mut obs_new = CountingObserver::new();
+    let net = net();
+    let mut old = fresh();
+    let r_old = by_hand(&mut old, &net, None, None);
+    let mut new = fresh();
+    let mut obs = CountingObserver::new();
     let r_new = new.drive(
         &net,
         RunConfig::rounds(ROUNDS)
             .measure(&EuclideanMetric, &avg(), 1e-9)
-            .observer(&mut obs_new),
+            .observer(&mut obs),
     );
     assert_eq!(r_old, r_new);
-    assert_eq!(obs_old.summary(), obs_new.summary());
+    assert_eq!(obs.summary().rounds, ROUNDS);
 }
 
 #[test]
 fn run_until_converged_matches_confirm_config() {
-    let (mut old, net) = fresh();
-    let r_old = old.run_until_converged(&net, &EuclideanMetric, &avg(), 1e-3, 4000, 50);
-    let (mut new, _) = fresh();
-    let r_new = new.drive(
+    let net = net();
+    let full = fresh().drive(
+        &net,
+        RunConfig::rounds(4000).measure(&EuclideanMetric, &avg(), 1e-3),
+    );
+    let at = full.converged_at.expect("sanity: the cell converges");
+    let mut new = fresh();
+    let report = new.drive(
         &net,
         RunConfig::rounds(4000)
             .measure(&EuclideanMetric, &avg(), 1e-3)
             .confirm(50),
     );
-    assert_eq!(r_old, r_new);
-    assert!(r_new.converged(), "sanity: the cell converges");
-    assert_eq!(states(&old), states(&new));
+    // The window only truncates the trace: same verdict, 50 rounds on.
+    assert_eq!(report.converged_at, Some(at));
+    assert_eq!(report.rounds_run, at + 50);
+    assert_eq!(report.distances[..], full.distances[..(at + 50) as usize]);
+    assert_eq!(new.round(), at + 50);
 }
 
 #[test]
 fn run_until_converged_observed_matches_its_config() {
-    let (mut old, net) = fresh();
-    let mut obs_old = CountingObserver::new();
-    let r_old = old.run_until_converged_observed(
-        &net,
-        &EuclideanMetric,
-        &avg(),
-        1e-3,
-        4000,
-        50,
-        &mut obs_old,
-    );
-    let (mut new, _) = fresh();
-    let mut obs_new = CountingObserver::new();
-    let r_new = new.drive(
-        &net,
+    let net = net();
+    let target = avg();
+    let cfg = || {
         RunConfig::rounds(4000)
-            .measure(&EuclideanMetric, &avg(), 1e-3)
+            .measure(&EuclideanMetric, &target, 1e-3)
             .confirm(50)
-            .observer(&mut obs_new),
-    );
-    assert_eq!(r_old, r_new);
-    assert_eq!(obs_old.summary(), obs_new.summary());
+    };
+    let r_plain = fresh().drive(&net, cfg());
+    let mut obs = CountingObserver::new();
+    let r_obs = fresh().drive(&net, cfg().observer(&mut obs));
+    assert_eq!(r_plain, r_obs);
+    assert_eq!(obs.summary().rounds, r_obs.rounds_run);
 }
 
 #[test]
 fn run_churned_matches_membership_config() {
     let membership = ChurnPlan::new(3).leave(1, 4..8).membership(N);
     let reinit = |_: usize, s: &PushSumState| *s;
-    let (mut old, net) = fresh();
-    let stack = ChurnMasked::new(net, membership.clone());
-    old.run_churned(&stack, &membership, &reinit, ROUNDS);
-    let (mut new, _) = fresh();
+    let stack = ChurnMasked::new(net(), membership.clone());
+    let mut old = fresh();
+    for t in 1..=ROUNDS {
+        old.apply_rejoins(&membership, &reinit);
+        old.step(&stack.graph_ref(t));
+    }
+    let mut new = fresh();
     new.drive(
         &stack,
         RunConfig::rounds(ROUNDS).membership(&membership, &reinit),
@@ -145,96 +196,80 @@ fn run_churned_matches_membership_config() {
     assert_eq!(states(&old), states(&new));
 }
 
-fn fresh_faulty() -> (FaultyExecution<Isotropic<SelfHealingPushSum>>, StaticGraph) {
-    let plan = FaultPlan::new(11).drop_links(0.2).until(ROUNDS / 2);
-    let exec = FaultyExecution::new(
-        Isotropic(SelfHealingPushSum),
-        PushSumState::averaging(&values()),
-        plan,
-    );
-    let net = StaticGraph::new(generators::random_strongly_connected(N, N, 7));
-    (exec, net)
-}
-
-fn faulty_states(exec: &FaultyExecution<Isotropic<SelfHealingPushSum>>) -> String {
-    format!("{:?}", exec.states())
-}
-
 #[test]
 fn faulty_run_matches_rounds_config() {
-    let (mut old, net) = fresh_faulty();
-    old.run(&net, ROUNDS);
-    let (mut new, _) = fresh_faulty();
-    new.drive(&net, RunConfig::rounds(ROUNDS));
-    assert_eq!(faulty_states(&old), faulty_states(&new));
+    let net = net();
+    let plan = plan();
+    // Faults are a pure function of the absolute round, so a run split
+    // into one-round drives injects exactly the same pattern.
+    let mut old = fresh_healing();
+    for _ in 0..ROUNDS {
+        old.drive(&net, RunConfig::rounds(1).faults(&plan));
+    }
+    let mut new = fresh_healing();
+    let report = new.drive(&net, RunConfig::rounds(ROUNDS).faults(&plan));
+    assert_eq!(states(&old), states(&new));
+    assert!(report.events.dropped > 0, "sanity: the plan fires");
 }
 
 #[test]
 fn run_with_recovery_matches_its_config() {
+    let net = net();
+    let plan = plan();
     let mass = |states: &[PushSumState]| {
         (states.iter().map(|s| s.y).sum::<f64>() - values().iter().sum::<f64>()).abs()
     };
-    let (mut old, net) = fresh_faulty();
-    let r_old = old.run_with_recovery(&net, ROUNDS, &EuclideanMetric, &avg(), 1e-9, Some(&mass));
-    let (mut new, _) = fresh_faulty();
+    let mut old = fresh_healing();
+    let mut r_old = by_hand(&mut old, &net, Some(&plan), None);
+    r_old.mass_deficit = Some(mass(old.states()));
+    let mut new = fresh_healing();
     let r_new = new.drive(
         &net,
         RunConfig::rounds(ROUNDS)
             .measure(&EuclideanMetric, &avg(), 1e-9)
-            .invariant(&mass),
+            .invariant(&mass)
+            .faults(&plan),
     );
     assert_eq!(r_old, r_new);
-    assert_eq!(faulty_states(&old), faulty_states(&new));
+    assert_eq!(states(&old), states(&new));
 }
 
 #[test]
 fn run_with_recovery_observed_matches_its_config() {
-    let (mut old, net) = fresh_faulty();
-    let mut obs_old = CountingObserver::new();
-    let r_old = old.run_with_recovery_observed(
-        &net,
-        ROUNDS,
-        &EuclideanMetric,
-        &avg(),
-        1e-9,
-        None,
-        &mut obs_old,
-    );
-    let (mut new, _) = fresh_faulty();
-    let mut obs_new = CountingObserver::new();
+    let net = net();
+    let plan = plan();
+    let mut old = fresh_healing();
+    let r_old = by_hand(&mut old, &net, Some(&plan), None);
+    let mut new = fresh_healing();
+    let mut obs = CountingObserver::new();
     let r_new = new.drive(
         &net,
         RunConfig::rounds(ROUNDS)
             .measure(&EuclideanMetric, &avg(), 1e-9)
-            .observer(&mut obs_new),
+            .observer(&mut obs)
+            .faults(&plan),
     );
     assert_eq!(r_old, r_new);
-    assert_eq!(obs_old.summary(), obs_new.summary());
+    assert_eq!(obs.summary().dropped, r_new.events.dropped);
 }
 
 #[test]
 fn run_with_recovery_churned_matches_its_config() {
     let membership = ChurnPlan::new(3).leave(2, 3..7).membership(N);
     let reinit = |_: usize, s: &PushSumState| *s;
-    let (mut old, net) = fresh_faulty();
-    let stack = ChurnMasked::new(net, membership.clone());
-    let r_old = old.run_with_recovery_churned(
-        &stack,
-        &membership,
-        &reinit,
-        ROUNDS,
-        &EuclideanMetric,
-        &avg(),
-        1e-9,
-        None,
-    );
-    let (mut new, _) = fresh_faulty();
+    let stack = ChurnMasked::new(net(), membership.clone());
+    let plan = plan();
+    let mut old = fresh_healing();
+    let r_old = by_hand(&mut old, &stack, Some(&plan), Some((&membership, &reinit)));
+    let mut new = fresh_healing();
     let r_new = new.drive(
         &stack,
         RunConfig::rounds(ROUNDS)
             .membership(&membership, &reinit)
-            .measure(&EuclideanMetric, &avg(), 1e-9),
+            .measure(&EuclideanMetric, &avg(), 1e-9)
+            .faults(&plan),
     );
     assert_eq!(r_old, r_new);
-    assert_eq!(faulty_states(&old), faulty_states(&new));
+    assert_eq!(states(&old), states(&new));
+    assert!(r_new.last_fault_round >= membership.last_transition());
 }
