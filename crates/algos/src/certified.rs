@@ -1,371 +1,32 @@
-//! Certified variants of Push-Sum and Metropolis: run on machine-checked
-//! [`Enclosure`]s, escalate to ℚ only at certification points.
+//! Certification points of the certified backend: run on machine-checked
+//! [`Enclosure`]s, escalate to ℚ only when an enclosure cannot decide.
 //!
-//! The certified backend is the middle rung of a three-rung ladder:
+//! Push-Sum, frequency Push-Sum and Metropolis are each one algorithm
+//! generic over a [`Scalar`](kya_arith::Scalar), instantiated on four
+//! scalars that form a three-rung ladder:
 //!
-//! 1. **f64** ([`PushSum`](crate::push_sum::PushSum),
-//!    [`Metropolis`](crate::metropolis::Metropolis)) — fast, no
-//!    guarantees;
-//! 2. **certified** (this module) — the same dynamics on directed-rounding
-//!    intervals. Every real value *and* every round-to-nearest f64
-//!    trajectory of the algorithm lies inside the per-agent enclosure
-//!    (see [`kya_arith::interval`] for the lemma), so the enclosure both
-//!    certifies the f64 run and bounds its error, at a small constant
-//!    factor over plain f64;
-//! 3. **exact ℚ** ([`PushSumExact`](crate::push_sum::PushSumExact)) —
-//!    escalated to only when an enclosure cannot decide a pending
-//!    comparison (a convergence threshold, an α-safety sign, a
-//!    frequency-table tie). The escalated twins here
-//!    ([`LazyPushSumExact`], [`LazyPushSumFrequencyExact`]) run on
-//!    [`LazyRational`] — denominator-gcd-only additions, full gcd
-//!    normalization deferred to the certification point — and reduce to
-//!    outputs *bit-identical* to the eager exact algorithms.
+//! 1. **f64** (`PushSum`, `PushSumFrequency::frequency()`, `Metropolis`)
+//!    — fast, no guarantees;
+//! 2. **certified** (`PushSum::<Enclosure>::new()`,
+//!    `PushSumFrequency::<Enclosure>::new(None)`,
+//!    `Metropolis::<Enclosure>::new()`) — the same dynamics on
+//!    directed-rounding intervals. Every real value *and* every
+//!    round-to-nearest f64 trajectory of the algorithm lies inside the
+//!    per-agent enclosure (see [`kya_arith::interval`] for the lemma), so
+//!    the enclosure both certifies the f64 run and bounds its error, at a
+//!    small constant factor over plain f64;
+//! 3. **exact ℚ** (`BigRational`) — escalated to only when an enclosure
+//!    cannot decide a pending comparison (a convergence threshold, an
+//!    α-safety sign, a frequency-table tie). The escalated path runs on
+//!    [`LazyRational`](kya_arith::LazyRational) — denominator-gcd-only
+//!    additions, full gcd normalization deferred to the output projection
+//!    — whose outputs are *bit-identical* to the eager `BigRational`
+//!    instance.
+//!
+//! This module holds what the ladder adds on top of the algorithms: the
+//! escalation counter and the certified convergence test.
 
-use kya_arith::{BigRational, Certainty, Enclosure, LazyRational};
-use kya_runtime::IsotropicAlgorithm;
-use std::collections::BTreeMap;
-
-// ---------------------------------------------------------------------
-// Certified scalar Push-Sum
-// ---------------------------------------------------------------------
-
-/// Scalar Push-Sum over [`Enclosure`]s: identical dynamics to the f64
-/// and exact variants, with interval state `(y, z)` and output `y / z`
-/// (the whole line when `z` cannot be certified away from zero).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CertifiedPushSum;
-
-/// State of certified Push-Sum.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CertifiedPushSumState {
-    /// Value mass enclosure.
-    pub y: Enclosure,
-    /// Weight mass enclosure (positive at initialization).
-    pub z: Enclosure,
-}
-
-impl CertifiedPushSumState {
-    /// Unit-weight initial states from the same f64 values the f64
-    /// variant starts from (exact point enclosures).
-    pub fn averaging(values: &[f64]) -> Vec<CertifiedPushSumState> {
-        values
-            .iter()
-            .map(|&v| CertifiedPushSumState {
-                y: Enclosure::point(v),
-                z: Enclosure::one(),
-            })
-            .collect()
-    }
-}
-
-impl IsotropicAlgorithm for CertifiedPushSum {
-    type State = CertifiedPushSumState;
-    type Msg = (Enclosure, Enclosure);
-    type Output = Enclosure;
-
-    fn message(&self, state: &CertifiedPushSumState, outdegree: usize) -> Self::Msg {
-        let d = outdegree as u64;
-        (state.y.div_u64(d), state.z.div_u64(d))
-    }
-
-    fn transition(
-        &self,
-        _state: &CertifiedPushSumState,
-        inbox: &[Self::Msg],
-    ) -> CertifiedPushSumState {
-        let y = inbox.iter().map(|&(ys, _)| ys).sum();
-        let z = inbox.iter().map(|&(_, zs)| zs).sum();
-        CertifiedPushSumState { y, z }
-    }
-
-    fn output(&self, state: &CertifiedPushSumState) -> Enclosure {
-        state.y / state.z
-    }
-}
-
-// ---------------------------------------------------------------------
-// Escalated scalar Push-Sum (lazy ℚ)
-// ---------------------------------------------------------------------
-
-/// The escalated twin of [`PushSumExact`](crate::push_sum::PushSumExact):
-/// identical dynamics over [`LazyRational`], so a whole run costs one
-/// denominator gcd per addition (keeping denominators at the lcm of the
-/// degree products) and the full normalization is paid once per output
-/// at the certification point. Outputs reduce to values bit-identical
-/// to the eager exact algorithm.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LazyPushSumExact;
-
-/// State of [`LazyPushSumExact`].
-#[derive(Clone, Debug)]
-pub struct LazyPushSumState {
-    /// Value mass.
-    pub y: LazyRational,
-    /// Weight mass.
-    pub z: LazyRational,
-}
-
-impl LazyPushSumState {
-    /// Unit-weight initial states from f64 values (exact dyadic lift),
-    /// aligned with [`CertifiedPushSumState::averaging`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a value is not finite.
-    pub fn averaging(values: &[f64]) -> Vec<LazyPushSumState> {
-        values
-            .iter()
-            .map(|&v| {
-                let q = BigRational::from_f64(v).expect("finite initial value");
-                LazyPushSumState {
-                    y: LazyRational::from_rational(&q),
-                    z: LazyRational::one(),
-                }
-            })
-            .collect()
-    }
-}
-
-impl IsotropicAlgorithm for LazyPushSumExact {
-    type State = LazyPushSumState;
-    type Msg = (LazyRational, LazyRational);
-    type Output = BigRational;
-
-    fn message(&self, state: &LazyPushSumState, outdegree: usize) -> Self::Msg {
-        let d = outdegree as u64;
-        (state.y.div_integer(d), state.z.div_integer(d))
-    }
-
-    fn transition(&self, _state: &LazyPushSumState, inbox: &[Self::Msg]) -> LazyPushSumState {
-        let y = inbox.iter().map(|(ys, _)| ys.clone()).sum();
-        let z = inbox.iter().map(|(_, zs)| zs.clone()).sum();
-        LazyPushSumState { y, z }
-    }
-
-    fn output(&self, state: &LazyPushSumState) -> BigRational {
-        // The certification point: one full normalization each.
-        &state.y.reduce() / &state.z.reduce()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Certified Metropolis
-// ---------------------------------------------------------------------
-
-/// Metropolis averaging over [`Enclosure`]s: weights `1/(1 + max(d_i,
-/// d_j))` with degrees carried exactly as `usize` (degrees are
-/// structural, not data — only the value `x` needs an interval).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CertifiedMetropolis;
-
-/// Message of certified Metropolis: value enclosure plus exact degree.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CertifiedDegreeTagged {
-    /// Sender's current value enclosure.
-    pub x: Enclosure,
-    /// Sender's neighbor count this round (exact).
-    pub degree: usize,
-}
-
-impl IsotropicAlgorithm for CertifiedMetropolis {
-    type State = Enclosure;
-    type Msg = CertifiedDegreeTagged;
-    type Output = Enclosure;
-
-    fn message(&self, state: &Enclosure, outdegree: usize) -> CertifiedDegreeTagged {
-        CertifiedDegreeTagged {
-            x: *state,
-            degree: outdegree.saturating_sub(1),
-        }
-    }
-
-    fn transition(&self, state: &Enclosure, inbox: &[CertifiedDegreeTagged]) -> Enclosure {
-        let own = inbox.len().saturating_sub(1);
-        let mut acc = *state;
-        for m in inbox {
-            let dmax = m.degree.max(own) as u64;
-            let w = Enclosure::one().div_u64(1 + dmax);
-            acc = acc + w * (m.x - *state);
-        }
-        acc
-    }
-
-    fn output(&self, state: &Enclosure) -> Enclosure {
-        *state
-    }
-}
-
-// ---------------------------------------------------------------------
-// Certified frequency Push-Sum (Algorithm 1)
-// ---------------------------------------------------------------------
-
-/// Algorithm 1 over [`Enclosure`] masses (frequency mode): per-value
-/// interval Push-Sum instances. The output carries one enclosure per
-/// value heard of; a weight enclosure that cannot be certified positive
-/// — the frequency-table tie — yields [`Enclosure::ENTIRE`], which no
-/// finite f64 escapes but which certifies nothing, forcing escalation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CertifiedPushSumFrequency;
-
-/// Per-value enclosure mass pair.
-pub type CertifiedMass = (Enclosure, Enclosure);
-
-/// State of [`CertifiedPushSumFrequency`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct CertifiedFrequencyState {
-    /// Per-value `(y, z)` mass enclosures.
-    pub masses: BTreeMap<u64, CertifiedMass>,
-}
-
-impl CertifiedFrequencyState {
-    /// Initial states: each agent starts its own value's instance at
-    /// the exact point `(1, 1)`.
-    pub fn initial(values: &[u64]) -> Vec<CertifiedFrequencyState> {
-        values
-            .iter()
-            .map(|&v| {
-                let mut masses = BTreeMap::new();
-                masses.insert(v, (Enclosure::one(), Enclosure::one()));
-                CertifiedFrequencyState { masses }
-            })
-            .collect()
-    }
-}
-
-impl IsotropicAlgorithm for CertifiedPushSumFrequency {
-    type State = CertifiedFrequencyState;
-    type Msg = BTreeMap<u64, CertifiedMass>;
-    type Output = BTreeMap<u64, Enclosure>;
-
-    fn message(&self, state: &CertifiedFrequencyState, outdegree: usize) -> Self::Msg {
-        let d = outdegree as u64;
-        state
-            .masses
-            .iter()
-            .map(|(&v, &(y, z))| (v, (y.div_u64(d), z.div_u64(d))))
-            .collect()
-    }
-
-    fn transition(
-        &self,
-        state: &CertifiedFrequencyState,
-        inbox: &[Self::Msg],
-    ) -> CertifiedFrequencyState {
-        let mut next: BTreeMap<u64, CertifiedMass> = BTreeMap::new();
-        for msg in inbox {
-            for (&v, &(ys, zs)) in msg {
-                let e = next
-                    .entry(v)
-                    .or_insert((Enclosure::zero(), Enclosure::zero()));
-                e.0 = e.0 + ys;
-                e.1 = e.1 + zs;
-            }
-        }
-        for (v, mass) in next.iter_mut() {
-            if !state.masses.contains_key(v) {
-                mass.1 = mass.1 + Enclosure::one();
-            }
-        }
-        CertifiedFrequencyState { masses: next }
-    }
-
-    fn output(&self, state: &CertifiedFrequencyState) -> Self::Output {
-        state
-            .masses
-            .iter()
-            .map(|(&v, &(y, z))| {
-                let x = match z.sign_positive() {
-                    Certainty::Certain(true) => y / z,
-                    // The tie: z straddles zero (or is certainly
-                    // non-positive, which exact replay will refute).
-                    _ => Enclosure::ENTIRE,
-                };
-                (v, x)
-            })
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Escalated frequency Push-Sum (lazy ℚ)
-// ---------------------------------------------------------------------
-
-/// The escalated twin of
-/// [`PushSumFrequencyExact`](crate::push_sum::PushSumFrequencyExact):
-/// per-value masses in [`LazyRational`], outputs reduced (and therefore
-/// bit-identical to the eager exact algorithm) only at the
-/// certification point.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LazyPushSumFrequencyExact;
-
-/// Per-value lazy mass pair.
-pub type LazyMass = (LazyRational, LazyRational);
-
-/// State of [`LazyPushSumFrequencyExact`].
-#[derive(Clone, Debug)]
-pub struct LazyFrequencyState {
-    /// Per-value `(y, z)` masses.
-    pub masses: BTreeMap<u64, LazyMass>,
-}
-
-impl LazyFrequencyState {
-    /// Initial states, aligned with
-    /// [`ExactFrequencyState::initial`](crate::push_sum::ExactFrequencyState::initial).
-    pub fn initial(values: &[u64]) -> Vec<LazyFrequencyState> {
-        values
-            .iter()
-            .map(|&v| {
-                let mut masses = BTreeMap::new();
-                masses.insert(v, (LazyRational::one(), LazyRational::one()));
-                LazyFrequencyState { masses }
-            })
-            .collect()
-    }
-}
-
-impl IsotropicAlgorithm for LazyPushSumFrequencyExact {
-    type State = LazyFrequencyState;
-    type Msg = BTreeMap<u64, LazyMass>;
-    type Output = BTreeMap<u64, BigRational>;
-
-    fn message(&self, state: &LazyFrequencyState, outdegree: usize) -> Self::Msg {
-        let d = outdegree as u64;
-        state
-            .masses
-            .iter()
-            .map(|(&v, (y, z))| (v, (y.div_integer(d), z.div_integer(d))))
-            .collect()
-    }
-
-    fn transition(&self, state: &LazyFrequencyState, inbox: &[Self::Msg]) -> LazyFrequencyState {
-        let mut next: BTreeMap<u64, LazyMass> = BTreeMap::new();
-        for msg in inbox {
-            for (&v, (ys, zs)) in msg {
-                let e = next
-                    .entry(v)
-                    .or_insert((LazyRational::zero(), LazyRational::zero()));
-                e.0 = e.0.add(ys);
-                e.1 = e.1.add(zs);
-            }
-        }
-        for (v, mass) in next.iter_mut() {
-            if !state.masses.contains_key(v) {
-                mass.1 = mass.1.add(&LazyRational::one());
-            }
-        }
-        LazyFrequencyState { masses: next }
-    }
-
-    fn output(&self, state: &LazyFrequencyState) -> Self::Output {
-        state
-            .masses
-            .iter()
-            .map(|(&v, (y, z))| (v, (y, z.reduce())))
-            .filter(|(_, (_, z))| z.is_positive())
-            .map(|(v, (y, z))| (v, &y.reduce() / &z))
-            .collect()
-    }
-}
+use kya_arith::{Certainty, Enclosure};
 
 // ---------------------------------------------------------------------
 // Certification points
@@ -436,10 +97,8 @@ pub fn certify_spread_below(outputs: &[Enclosure], eps: f64) -> Certainty {
 mod tests {
     use super::*;
     use crate::metropolis::Metropolis;
-    use crate::push_sum::{
-        ExactFrequencyState, FrequencyState, PushSum, PushSumExact, PushSumExactState,
-        PushSumFrequency, PushSumFrequencyExact, PushSumState,
-    };
+    use crate::push_sum::{FrequencyState, PushSum, PushSumFrequency, PushSumState};
+    use kya_arith::{BigRational, LazyRational};
     use kya_graph::{generators, DynamicGraph, StaticGraph};
     use kya_runtime::{Execution, Isotropic, RunConfig};
 
@@ -460,16 +119,13 @@ mod tests {
             let vals: Vec<f64> = (0..n).map(|i| vals[i % vals.len()] + i as f64).collect();
             let mut f64_exec = Execution::new(Isotropic(PushSum), PushSumState::averaging(&vals));
             let mut cert_exec = Execution::new(
-                Isotropic(CertifiedPushSum),
-                CertifiedPushSumState::averaging(&vals),
+                Isotropic(PushSum::<Enclosure>::new()),
+                PushSumState::averaging(&vals),
             );
-            let exact_init: Vec<PushSumExactState> = vals
-                .iter()
-                .map(|&v| {
-                    PushSumExactState::new(BigRational::from_f64(v).unwrap(), BigRational::one())
-                })
-                .collect();
-            let mut exact_exec = Execution::new(Isotropic(PushSumExact), exact_init);
+            let mut exact_exec = Execution::new(
+                Isotropic(PushSum::<BigRational>::new()),
+                PushSumState::averaging(&vals),
+            );
             for _ in 0..15 {
                 f64_exec.drive(&net, RunConfig::rounds(1));
                 cert_exec.drive(&net, RunConfig::rounds(1));
@@ -500,16 +156,13 @@ mod tests {
         for net in nets() {
             let n = net.n();
             let vals: Vec<f64> = (0..n).map(|i| i as f64 + 0.625).collect();
-            let exact_init: Vec<PushSumExactState> = vals
-                .iter()
-                .map(|&v| {
-                    PushSumExactState::new(BigRational::from_f64(v).unwrap(), BigRational::one())
-                })
-                .collect();
-            let mut eager = Execution::new(Isotropic(PushSumExact), exact_init);
+            let mut eager = Execution::new(
+                Isotropic(PushSum::<BigRational>::new()),
+                PushSumState::averaging(&vals),
+            );
             let mut lazy = Execution::new(
-                Isotropic(LazyPushSumExact),
-                LazyPushSumState::averaging(&vals),
+                Isotropic(PushSum::<LazyRational>::new()),
+                PushSumState::averaging(&vals),
             );
             eager.drive(&net, RunConfig::rounds(12));
             lazy.drive(&net, RunConfig::rounds(12));
@@ -524,7 +177,7 @@ mod tests {
             let vals: Vec<f64> = (0..n).map(|i| (i * i) as f64 / 3.0).collect();
             let mut f64_exec = Execution::new(Isotropic(Metropolis), vals.clone());
             let enc_init: Vec<Enclosure> = vals.iter().map(|&v| Enclosure::point(v)).collect();
-            let mut cert_exec = Execution::new(Isotropic(CertifiedMetropolis), enc_init);
+            let mut cert_exec = Execution::new(Isotropic(Metropolis::new()), enc_init);
             for _ in 0..20 {
                 f64_exec.drive(&net, RunConfig::rounds(1));
                 cert_exec.drive(&net, RunConfig::rounds(1));
@@ -553,16 +206,16 @@ mod tests {
                 FrequencyState::initial(vals),
             );
             let mut cert_exec = Execution::new(
-                Isotropic(CertifiedPushSumFrequency),
-                CertifiedFrequencyState::initial(vals),
+                Isotropic(PushSumFrequency::<Enclosure>::new(None)),
+                FrequencyState::initial(vals),
             );
             let mut eager = Execution::new(
-                Isotropic(PushSumFrequencyExact),
-                ExactFrequencyState::initial(vals),
+                Isotropic(PushSumFrequency::<BigRational>::new(None)),
+                FrequencyState::initial(vals),
             );
             let mut lazy = Execution::new(
-                Isotropic(LazyPushSumFrequencyExact),
-                LazyFrequencyState::initial(vals),
+                Isotropic(PushSumFrequency::<LazyRational>::new(None)),
+                FrequencyState::initial(vals),
             );
             eager.drive(&net, RunConfig::rounds(10));
             lazy.drive(&net, RunConfig::rounds(10));

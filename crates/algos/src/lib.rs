@@ -18,8 +18,7 @@
 //!   are evaluated (§4.2–4.5);
 //! - [`push_sum`]: the Push-Sum family for dynamic networks — quot-sum
 //!   (Theorem 5.2), the frequency vector of Algorithm 1, ℚ_N rounding
-//!   (Corollary 5.3), and the leader variant (§5.5) — in both `f64` and
-//!   exact-rational arithmetic;
+//!   (Corollary 5.3), and the leader variant (§5.5);
 //! - [`metropolis`]: average consensus on symmetric dynamic networks —
 //!   Metropolis and Lazy Metropolis weights under outdegree awareness,
 //!   and the fixed-weight `1/N` variant that needs only a bound on the
@@ -30,11 +29,8 @@
 //!   [`MessageCodec`](kya_runtime::MessageCodec) cap
 //!   structurally and whose token mass is conserved exactly in ℚ
 //!   (ROADMAP's bandwidth pillar);
-//! - [`certified`]: the certified middle rung between the `f64` and exact
-//!   variants — Push-Sum and Metropolis over directed-rounding
-//!   [`Enclosure`](kya_arith::Enclosure)s whose intervals certify the
-//!   `f64` run, plus lazily-normalized ℚ twins
-//!   ([`certified::LazyPushSumExact`]) for the escalated path;
+//! - [`certified`]: the certification points of the certified backend —
+//!   the escalation counter and the certified convergence test;
 //! - [`lifting`]: the Lifting Lemma (Lemma 3.1) as an executable check —
 //!   run an algorithm on a base, lift fibrewise, and verify the lift is a
 //!   legal execution upstairs. This is the engine of every impossibility

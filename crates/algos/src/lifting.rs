@@ -159,7 +159,7 @@ pub fn close_fibration(
 mod tests {
     use super::*;
     use crate::gossip::SetGossip;
-    use crate::push_sum::{PushSumExact, PushSumExactState};
+    use crate::push_sum::{PushSum, PushSumState};
     use kya_arith::BigRational;
     use kya_fibration::verify_fibration;
     use kya_runtime::RunConfig;
@@ -187,9 +187,16 @@ mod tests {
         // 2 after closure), so isotropic algorithms lift too.
         let (g, b, phi) = ring_fibration(6, 2);
         let (gc, bc, phic) = close_fibration(&phi, &g, &b);
-        let base_inits = PushSumExactState::averaging(&[1, 5]);
-        check_lifting(&Isotropic(PushSumExact), &gc, &bc, &phic, base_inits, 12)
-            .expect("push-sum satisfies the lifting lemma");
+        let base_inits = PushSumState::<BigRational>::averaging(&[1.0, 5.0]);
+        check_lifting(
+            &Isotropic(PushSum::<BigRational>::new()),
+            &gc,
+            &bc,
+            &phic,
+            base_inits,
+            12,
+        )
+        .expect("push-sum satisfies the lifting lemma");
     }
 
     #[test]
@@ -201,11 +208,13 @@ mod tests {
         // limit is the average 2, not either sum.
         let (g, b, phi) = ring_fibration(4, 2);
         let (gc, bc, phic) = close_fibration(&phi, &g, &b);
-        let base_inits = PushSumExactState::averaging(&[1, 3]);
+        let base_inits = PushSumState::<BigRational>::averaging(&[1.0, 3.0]);
         let lifted = phic.lift_valuation(&base_inits);
 
-        let mut small = kya_runtime::Execution::new(Isotropic(PushSumExact), base_inits);
-        let mut large = kya_runtime::Execution::new(Isotropic(PushSumExact), lifted);
+        let mut small =
+            kya_runtime::Execution::new(Isotropic(PushSum::<BigRational>::new()), base_inits);
+        let mut large =
+            kya_runtime::Execution::new(Isotropic(PushSum::<BigRational>::new()), lifted);
         let small_net = StaticGraph::new(bc);
         let large_net = StaticGraph::new(gc);
         small.drive(&small_net, RunConfig::rounds(40));

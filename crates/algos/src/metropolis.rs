@@ -4,10 +4,10 @@
 //! updates, which preserve the average of the agents' values at every
 //! round:
 //!
-//! - [`Metropolis`]: weights `1 / (1 + max(d_i, d_j))` — the classical
-//!   Metropolis–Hastings choice, requiring outdegree awareness (the
-//!   sender attaches its degree to the message; its own degree is the
-//!   inbox size minus the self-loop);
+//! - [`Metropolis`](struct@Metropolis): weights `1 / (1 + max(d_i,
+//!   d_j))` — the classical Metropolis–Hastings choice, requiring
+//!   outdegree awareness (the sender attaches its degree to the
+//!   message; its own degree is the inbox size minus the self-loop);
 //! - [`LazyMetropolis`]: weights `1 / (2 max(d_i, d_j))` (Olshevsky),
 //!   same requirements, better worst-case rate on paths;
 //! - [`FixedWeight`]: weights `1/N` for a known bound `N >= n` — this
@@ -19,8 +19,16 @@
 //! None is self-stabilizing. Convergence on any symmetric dynamic graph
 //! with finite dynamic diameter follows from Moreau's theorem, quadratic
 //! rates from \[10\].
+//!
+//! [`Metropolis`](struct@Metropolis) is generic over a [`Scalar`]: the
+//! constant `Metropolis` is the `f64` instance, and
+//! `Metropolis::<Enclosure>::new()` runs the same dynamics on certified
+//! intervals (see [`crate::certified`]). Degrees are structural, not
+//! data, so they stay exact `usize`s on every scalar.
 
+use kya_arith::Scalar;
 use kya_runtime::{BroadcastAlgorithm, FlatAlgorithm, IsotropicAlgorithm};
+use std::marker::PhantomData;
 
 /// Metropolis averaging: `x_i += Σ_j (x_j - x_i) / (1 + max(d_i, d_j))`
 /// over distinct neighbors `j` (the self term vanishes, so the inbox can
@@ -29,51 +37,66 @@ use kya_runtime::{BroadcastAlgorithm, FlatAlgorithm, IsotropicAlgorithm};
 /// Degrees count *neighbors* (not the self-loop). Intended for simple
 /// bidirectional graphs; parallel edges would double-count neighbors.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Metropolis;
+pub struct Metropolis<S = f64> {
+    _s: PhantomData<fn() -> S>,
+}
+
+/// The `f64` instance of [`Metropolis`](struct@Metropolis), spelled like
+/// a unit struct: `Isotropic(Metropolis)`.
+#[allow(non_upper_case_globals)]
+pub const Metropolis: Metropolis = Metropolis::new();
+
+impl<S> Metropolis<S> {
+    /// Metropolis averaging over `S`.
+    pub const fn new() -> Metropolis<S> {
+        Metropolis { _s: PhantomData }
+    }
+}
 
 /// Message of the Metropolis family: the sender's value and degree.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DegreeTagged {
+pub struct DegreeTagged<S = f64> {
     /// Sender's current output value.
-    pub x: f64,
+    pub x: S,
     /// Sender's neighbor count this round (outdegree minus self-loop).
     pub degree: usize,
 }
 
-fn metropolis_step(x: f64, inbox: &[DegreeTagged], own_degree: usize, lazy: bool) -> f64 {
-    let mut acc = x;
+/// `x += Σ_j (x_j − x) / divisor(max(d_i, d_j))` over the inbox. Own
+/// degree = inbox size minus the self-loop message; the own message
+/// contributes `(x − x) = 0`, so it needs no special-casing.
+fn metropolis_step<S: Scalar>(
+    x: &S,
+    inbox: &[DegreeTagged<S>],
+    divisor: impl Fn(usize) -> usize,
+) -> S {
+    let own = inbox.len().saturating_sub(1);
+    let mut acc = x.clone();
     for m in inbox {
-        let dmax = m.degree.max(own_degree) as f64;
-        let w = if lazy {
-            1.0 / (2.0 * dmax.max(0.5))
-        } else {
-            1.0 / (1.0 + dmax)
-        };
-        acc += w * (m.x - x);
+        let w = S::one().div_degree(divisor(m.degree.max(own)));
+        acc = acc.add(&w.mul(&m.x.sub(x)));
     }
     acc
 }
 
-impl IsotropicAlgorithm for Metropolis {
-    type State = f64;
-    type Msg = DegreeTagged;
-    type Output = f64;
+impl<S: Scalar + PartialEq> IsotropicAlgorithm for Metropolis<S> {
+    type State = S;
+    type Msg = DegreeTagged<S>;
+    type Output = S;
 
-    fn message(&self, state: &f64, outdegree: usize) -> DegreeTagged {
+    fn message(&self, state: &S, outdegree: usize) -> DegreeTagged<S> {
         DegreeTagged {
-            x: *state,
+            x: state.clone(),
             degree: outdegree.saturating_sub(1),
         }
     }
 
-    fn transition(&self, state: &f64, inbox: &[DegreeTagged]) -> f64 {
-        // Own degree = inbox size minus the self-loop message. The own
-        // message contributes (x - x) = 0, so it needs no special-casing.
-        metropolis_step(*state, inbox, inbox.len().saturating_sub(1), false)
+    fn transition(&self, state: &S, inbox: &[DegreeTagged<S>]) -> S {
+        metropolis_step(state, inbox, |dmax| 1 + dmax)
     }
 
-    fn output(&self, state: &f64) -> f64 {
-        *state
+    fn output(&self, state: &S) -> S {
+        state.clone()
     }
 }
 
@@ -123,8 +146,9 @@ impl IsotropicAlgorithm for LazyMetropolis {
         }
     }
 
+    /// The weight `1 / (2 max(d_i, d_j))`, or 1 when both degrees are 0.
     fn transition(&self, state: &f64, inbox: &[DegreeTagged]) -> f64 {
-        metropolis_step(*state, inbox, inbox.len().saturating_sub(1), true)
+        metropolis_step(state, inbox, |dmax| (2 * dmax).max(1))
     }
 
     fn output(&self, state: &f64) -> f64 {

@@ -15,49 +15,79 @@
 //! but tolerates asynchronous starts (§5.3): run it under
 //! [`kya_runtime::adversary::AsyncStarts`] and it still converges.
 //!
-//! Two arithmetic backends are provided: `f64` (fast; what any practical
-//! deployment would use) and exact [`BigRational`] (the simulator's
-//! referee: mass conservation holds *exactly*, which the property tests
-//! exploit).
+//! Every algorithm here except [`SelfHealingPushSum`] is written once,
+//! generic over a [`Scalar`]: `f64` (fast; what any practical deployment
+//! would use, and the default type parameter), exact [`BigRational`]
+//! (the simulator's referee: mass conservation holds *exactly*, which
+//! the property tests exploit), certified [`Enclosure`](kya_arith::Enclosure)
+//! intervals and lazily normalized [`LazyRational`](kya_arith::LazyRational)s
+//! (see [`crate::certified`]). The `f64` instances keep the short
+//! spellings (`PushSum`, `PushSumFrequency::frequency()`); other
+//! scalars name the type, e.g. `PushSum::<BigRational>::new()`, and the
+//! state constructors (`PushSumState::averaging`,
+//! `FrequencyState::initial`) infer it.
 
-use kya_arith::{BigInt, BigRational};
+use kya_arith::{BigInt, BigRational, Scalar};
 use kya_runtime::{FlatAlgorithm, IsotropicAlgorithm};
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 
 // ---------------------------------------------------------------------
-// Scalar Push-Sum, f64 backend
+// Scalar Push-Sum
 // ---------------------------------------------------------------------
 
-/// Scalar Push-Sum over `f64` (Theorem 5.2): output converges to
-/// `Σ v_i / Σ w_i`.
+/// Scalar Push-Sum over a [`Scalar`] `S` (Theorem 5.2): output converges
+/// to `Σ v_i / Σ w_i`. The constant [`PushSum`](const@PushSum) is the
+/// `f64` instance.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct PushSum;
-
-/// State of scalar Push-Sum: the two masses.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PushSumState {
-    /// Value mass `y`.
-    pub y: f64,
-    /// Weight mass `z` (positive).
-    pub z: f64,
+pub struct PushSum<S = f64> {
+    _s: PhantomData<fn() -> S>,
 }
 
-impl PushSumState {
+/// The `f64` instance of [`PushSum`](struct@PushSum), spelled like a
+/// unit struct: `Isotropic(PushSum)`, `FlatExecution::new(PushSum, ..)`.
+#[allow(non_upper_case_globals)]
+pub const PushSum: PushSum = PushSum::new();
+
+impl<S> PushSum<S> {
+    /// Push-Sum over `S`.
+    pub const fn new() -> PushSum<S> {
+        PushSum { _s: PhantomData }
+    }
+}
+
+/// State of scalar Push-Sum: the two masses.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PushSumState<S = f64> {
+    /// Value mass `y`.
+    pub y: S,
+    /// Weight mass `z` (positive).
+    pub z: S,
+}
+
+impl<S: Scalar> PushSumState<S> {
     /// Initial state from input value `v` and weight `w > 0`.
     ///
     /// # Panics
     ///
-    /// Panics if `w <= 0` (the paper requires `w_i ∈ ℝ_{>0}`).
-    pub fn new(v: f64, w: f64) -> PushSumState {
-        assert!(w > 0.0, "push-sum weights must be positive");
+    /// Panics if `w` is not certainly positive (the paper requires
+    /// `w_i ∈ ℝ_{>0}`).
+    pub fn new(v: S, w: S) -> PushSumState<S> {
+        assert!(w.is_positive(), "push-sum weights must be positive");
         PushSumState { y: v, z: w }
     }
 
-    /// Unit-weight initial states (computes the average of `values`).
-    pub fn averaging(values: &[f64]) -> Vec<PushSumState> {
-        values.iter().map(|&v| PushSumState::new(v, 1.0)).collect()
+    /// Unit-weight initial states (computes the average of `values`),
+    /// each value lifted exactly into `S`.
+    pub fn averaging(values: &[f64]) -> Vec<PushSumState<S>> {
+        values
+            .iter()
+            .map(|&v| PushSumState::new(S::lift(v), S::one()))
+            .collect()
     }
+}
 
+impl PushSumState {
     /// Struct-of-arrays columns (`[y-lane, z-lane]`) for the flat
     /// executor ([`kya_runtime::FlatExecution`]) from boxed states.
     pub fn columns(states: &[PushSumState]) -> Vec<Vec<f64>> {
@@ -68,36 +98,36 @@ impl PushSumState {
     }
 }
 
-impl IsotropicAlgorithm for PushSum {
-    type State = PushSumState;
-    type Msg = (f64, f64);
-    type Output = f64;
+impl<S: Scalar> IsotropicAlgorithm for PushSum<S> {
+    type State = PushSumState<S>;
+    type Msg = (S, S);
+    type Output = S::Out;
 
-    fn message(&self, state: &PushSumState, outdegree: usize) -> (f64, f64) {
-        let d = outdegree as f64;
-        (state.y / d, state.z / d)
+    fn message(&self, state: &PushSumState<S>, outdegree: usize) -> (S, S) {
+        (state.y.div_degree(outdegree), state.z.div_degree(outdegree))
     }
 
-    fn transition(&self, _state: &PushSumState, inbox: &[(f64, f64)]) -> PushSumState {
-        let mut y = 0.0;
-        let mut z = 0.0;
-        for &(ys, zs) in inbox {
-            y += ys;
-            z += zs;
+    fn transition(&self, _state: &PushSumState<S>, inbox: &[(S, S)]) -> PushSumState<S> {
+        let mut y = S::zero();
+        let mut z = S::zero();
+        for (ys, zs) in inbox {
+            y = y.add(ys);
+            z = z.add(zs);
         }
         PushSumState { y, z }
     }
 
     /// The mass quotient `y / z`, deliberately unguarded: on lopsided
     /// topologies (e.g. a directed in-star, where a leaf halves its
-    /// masses every round) `z` underflows to exactly `0.0` after ~1075
-    /// rounds and the output goes inf/NaN. The runtime surfaces this as
-    /// [`CellReport::diverged_at`](kya_runtime::CellReport) rather than
-    /// the algorithm masking it — a non-finite output *is* the signal
-    /// that f64 left the regime where Theorem 5.2's analysis applies
-    /// (the exact backend [`PushSumExact`] has no such failure mode).
-    fn output(&self, state: &PushSumState) -> f64 {
-        state.y / state.z
+    /// masses every round) an `f64` `z` underflows to exactly `0.0` after
+    /// ~1075 rounds and the output goes inf/NaN. The runtime surfaces
+    /// this as [`CellReport::diverged_at`](kya_runtime::CellReport) rather
+    /// than the algorithm masking it — a non-finite output *is* the
+    /// signal that f64 left the regime where Theorem 5.2's analysis
+    /// applies (the exact instance `PushSum<BigRational>` has no such
+    /// failure mode).
+    fn output(&self, state: &PushSumState<S>) -> S::Out {
+        state.y.ratio(&state.z)
     }
 }
 
@@ -137,7 +167,7 @@ impl FlatAlgorithm for PushSum {
 // ---------------------------------------------------------------------
 
 /// Push-Sum with a link-layer bounce handler: the same dynamics as
-/// [`PushSum`], plus [`IsotropicAlgorithm::reabsorb`] folding
+/// [`PushSum`](struct@PushSum), plus [`IsotropicAlgorithm::reabsorb`] folding
 /// undelivered shares back into the sender's masses.
 ///
 /// Why this matters: Push-Sum conserves `Σ y` and `Σ z` because the
@@ -211,67 +241,6 @@ pub fn total_mass(states: &[PushSumState]) -> (f64, f64) {
 }
 
 // ---------------------------------------------------------------------
-// Scalar Push-Sum, exact backend
-// ---------------------------------------------------------------------
-
-/// Scalar Push-Sum over exact rationals: identical dynamics, exact mass
-/// conservation. Used as the referee in property tests and in the
-/// lifting-lemma demonstrations (floating point would break exact state
-/// equality between a base execution and its lift).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PushSumExact;
-
-/// State of exact Push-Sum.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PushSumExactState {
-    /// Value mass.
-    pub y: BigRational,
-    /// Weight mass (positive).
-    pub z: BigRational,
-}
-
-impl PushSumExactState {
-    /// Initial state from value `v` and weight `w > 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not positive.
-    pub fn new(v: BigRational, w: BigRational) -> PushSumExactState {
-        assert!(w.is_positive(), "push-sum weights must be positive");
-        PushSumExactState { y: v, z: w }
-    }
-
-    /// Unit-weight initial states from integer values.
-    pub fn averaging(values: &[i64]) -> Vec<PushSumExactState> {
-        values
-            .iter()
-            .map(|&v| PushSumExactState::new(BigRational::from_integer(v), BigRational::one()))
-            .collect()
-    }
-}
-
-impl IsotropicAlgorithm for PushSumExact {
-    type State = PushSumExactState;
-    type Msg = (BigRational, BigRational);
-    type Output = BigRational;
-
-    fn message(&self, state: &PushSumExactState, outdegree: usize) -> Self::Msg {
-        let d = outdegree as u64;
-        (state.y.div_integer(d), state.z.div_integer(d))
-    }
-
-    fn transition(&self, _state: &PushSumExactState, inbox: &[Self::Msg]) -> PushSumExactState {
-        let y = inbox.iter().map(|(ys, _)| ys).sum();
-        let z = inbox.iter().map(|(_, zs)| zs).sum();
-        PushSumExactState { y, z }
-    }
-
-    fn output(&self, state: &PushSumExactState) -> BigRational {
-        &state.y / &state.z
-    }
-}
-
-// ---------------------------------------------------------------------
 // Frequency Push-Sum (Algorithm 1) with optional leaders and rounding
 // ---------------------------------------------------------------------
 
@@ -283,64 +252,88 @@ impl IsotropicAlgorithm for PushSumExact {
 /// `y[ω] = 0` and `z[ω] = 1` — except in leader mode, where non-leaders
 /// join with `z[ω] = 0` and only the `ℓ` leaders carry weight, so
 /// `ℓ · x[ω]` converges to the exact multiplicity of `ω`.
+///
+/// Over exact rationals the per-value mass invariants
+/// (`Σ_i y_i[ω] = multiplicity(ω)` and, once everyone has joined,
+/// `Σ_i z_i[ω] = n`) hold *exactly* at every round; denominators grow
+/// with the round number, so prefer `f64` for long runs.
 #[derive(Clone, Copy, Debug)]
-pub struct PushSumFrequency {
+pub struct PushSumFrequency<S = f64> {
     /// `None`: frequency mode (every agent weighs 1). `Some(ell)`:
     /// leader mode with `ell` leaders known to everyone.
     pub leaders: Option<usize>,
+    _s: PhantomData<fn() -> S>,
+}
+
+impl<S> PushSumFrequency<S> {
+    /// Frequency mode (`None`, Algorithm 1) or leader mode with `ell >= 1`
+    /// known leaders (`Some(ell)`, §5.5) over `S`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaders == Some(0)`.
+    pub fn new(leaders: Option<usize>) -> PushSumFrequency<S> {
+        assert!(leaders != Some(0), "leader mode needs at least one leader");
+        PushSumFrequency {
+            leaders,
+            _s: PhantomData,
+        }
+    }
 }
 
 impl PushSumFrequency {
-    /// Standard frequency mode (Algorithm 1).
+    /// Standard frequency mode (Algorithm 1) over `f64`.
     pub fn frequency() -> PushSumFrequency {
-        PushSumFrequency { leaders: None }
+        PushSumFrequency::new(None)
     }
 
-    /// Leader mode with `ell >= 1` known leaders (§5.5).
+    /// Leader mode over `f64` with `ell >= 1` known leaders (§5.5).
     ///
     /// # Panics
     ///
     /// Panics if `ell == 0`.
     pub fn with_leaders(ell: usize) -> PushSumFrequency {
-        assert!(ell >= 1, "leader mode needs at least one leader");
-        PushSumFrequency { leaders: Some(ell) }
+        PushSumFrequency::new(Some(ell))
     }
 }
 
 /// Per-value mass pair.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Mass {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Mass<S = f64> {
     /// Value mass for this input value.
-    pub y: f64,
+    pub y: S,
     /// Weight mass for this input value.
-    pub z: f64,
+    pub z: S,
 }
 
 /// State of [`PushSumFrequency`]: masses per known value.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FrequencyState {
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FrequencyState<S = f64> {
     /// Whether this agent is a leader (meaningful in leader mode only).
     pub is_leader: bool,
     /// Per-value masses; keys are the values heard of so far.
-    pub masses: BTreeMap<u64, Mass>,
+    pub masses: BTreeMap<u64, Mass<S>>,
 }
 
-impl FrequencyState {
+impl<S: Scalar> FrequencyState<S> {
     /// Initial state for an agent with input `value`.
     ///
     /// In frequency mode pass `is_leader = false` for everyone. In leader
     /// mode the weight mass starts at 1 for leaders and 0 otherwise
     /// (§5.5: "its variables `z_i[ω]` are initially set to zero instead of
     /// one" for non-leaders).
-    pub fn new(value: u64, is_leader: bool, leader_mode: bool) -> FrequencyState {
-        let z0 = if leader_mode && !is_leader { 0.0 } else { 1.0 };
-        let mut masses = BTreeMap::new();
-        masses.insert(value, Mass { y: 1.0, z: z0 });
-        FrequencyState { is_leader, masses }
+    pub fn new(value: u64, is_leader: bool, leader_mode: bool) -> FrequencyState<S> {
+        let mut state = FrequencyState {
+            is_leader,
+            masses: BTreeMap::new(),
+        };
+        let z = state.join_mass(leader_mode);
+        state.masses.insert(value, Mass { y: S::one(), z });
+        state
     }
 
     /// Initial states for plain frequency mode.
-    pub fn initial(values: &[u64]) -> Vec<FrequencyState> {
+    pub fn initial(values: &[u64]) -> Vec<FrequencyState<S>> {
         values
             .iter()
             .map(|&v| FrequencyState::new(v, false, false))
@@ -352,7 +345,7 @@ impl FrequencyState {
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
-    pub fn initial_with_leaders(values: &[u64], leaders: &[bool]) -> Vec<FrequencyState> {
+    pub fn initial_with_leaders(values: &[u64], leaders: &[bool]) -> Vec<FrequencyState<S>> {
         assert_eq!(values.len(), leaders.len(), "one leader flag per agent");
         values
             .iter()
@@ -361,27 +354,26 @@ impl FrequencyState {
             .collect()
     }
 
-    fn join_mass(&self, leader_mode: bool) -> f64 {
+    fn join_mass(&self, leader_mode: bool) -> S {
         if leader_mode && !self.is_leader {
-            0.0
+            S::zero()
         } else {
-            1.0
+            S::one()
         }
     }
 }
 
-/// The frequency estimate vector: per value, the current `x[ω] = y/z`
-/// (`f64::INFINITY` while `z[ω] = 0`, which the paper notes happens only
-/// finitely often in leader mode).
+/// The `f64` frequency estimate vector: per value, the current
+/// `x[ω] = y/z` (`f64::INFINITY` while `z[ω] = 0`, which the paper notes
+/// happens only finitely often in leader mode).
 pub type FrequencyEstimate = BTreeMap<u64, f64>;
 
-impl IsotropicAlgorithm for PushSumFrequency {
-    type State = FrequencyState;
-    type Msg = BTreeMap<u64, Mass>;
-    type Output = FrequencyEstimate;
+impl<S: Scalar> IsotropicAlgorithm for PushSumFrequency<S> {
+    type State = FrequencyState<S>;
+    type Msg = BTreeMap<u64, Mass<S>>;
+    type Output = BTreeMap<u64, S::Out>;
 
-    fn message(&self, state: &FrequencyState, outdegree: usize) -> Self::Msg {
-        let d = outdegree as f64;
+    fn message(&self, state: &FrequencyState<S>, outdegree: usize) -> Self::Msg {
         state
             .masses
             .iter()
@@ -389,32 +381,35 @@ impl IsotropicAlgorithm for PushSumFrequency {
                 (
                     v,
                     Mass {
-                        y: m.y / d,
-                        z: m.z / d,
+                        y: m.y.div_degree(outdegree),
+                        z: m.z.div_degree(outdegree),
                     },
                 )
             })
             .collect()
     }
 
-    fn transition(&self, state: &FrequencyState, inbox: &[Self::Msg]) -> FrequencyState {
+    fn transition(&self, state: &FrequencyState<S>, inbox: &[Self::Msg]) -> FrequencyState<S> {
         let leader_mode = self.leaders.is_some();
         // Values heard of before this round: they participate in the sums.
         // Newly discovered values: the agent joins that instance *now*
         // (Algorithm 1, lines 9-12): its own contribution for the value is
         // (y, z) = (0, join), added on top of the received shares.
-        let mut next: BTreeMap<u64, Mass> = BTreeMap::new();
+        let mut next: BTreeMap<u64, Mass<S>> = BTreeMap::new();
         for msg in inbox {
             for (&v, share) in msg {
-                let e = next.entry(v).or_insert(Mass { y: 0.0, z: 0.0 });
-                e.y += share.y;
-                e.z += share.z;
+                let e = next.entry(v).or_insert_with(|| Mass {
+                    y: S::zero(),
+                    z: S::zero(),
+                });
+                e.y = e.y.add(&share.y);
+                e.z = e.z.add(&share.z);
             }
         }
         // Join newly heard instances with the appropriate weight.
         for (v, mass) in next.iter_mut() {
             if !state.masses.contains_key(v) {
-                mass.z += state.join_mass(leader_mode);
+                mass.z = mass.z.add(&state.join_mass(leader_mode));
             }
         }
         FrequencyState {
@@ -423,99 +418,13 @@ impl IsotropicAlgorithm for PushSumFrequency {
         }
     }
 
-    fn output(&self, state: &FrequencyState) -> FrequencyEstimate {
+    /// Per value, `ℓ · y / z` under the scalar's rule for a weight that
+    /// is not certainly positive ([`Scalar::frequency`]).
+    fn output(&self, state: &FrequencyState<S>) -> Self::Output {
         state
             .masses
             .iter()
-            .map(|(&v, m)| {
-                let x = if m.z > 0.0 { m.y / m.z } else { f64::INFINITY };
-                let x = match self.leaders {
-                    Some(ell) => x * ell as f64,
-                    None => x,
-                };
-                (v, x)
-            })
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Exact frequency Push-Sum
-// ---------------------------------------------------------------------
-
-/// Algorithm 1 over **exact rationals**: per-value masses in ℚ, so the
-/// per-value mass invariants (`Σ_i y_i[ω] = multiplicity(ω)` and, once
-/// everyone has joined, `Σ_i z_i[ω] = n`) hold *exactly* at every round.
-/// The referee implementation for the `f64` variant and the engine of
-/// exactness tests; denominators grow with the round number, so prefer
-/// the `f64` variant for long runs.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PushSumFrequencyExact;
-
-/// Per-value exact mass pair.
-pub type ExactMass = (BigRational, BigRational);
-
-/// State of [`PushSumFrequencyExact`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExactFrequencyState {
-    /// Per-value `(y, z)` masses.
-    pub masses: BTreeMap<u64, ExactMass>,
-}
-
-impl ExactFrequencyState {
-    /// Initial states: each agent starts the instance of its own value
-    /// with `(y, z) = (1, 1)`.
-    pub fn initial(values: &[u64]) -> Vec<ExactFrequencyState> {
-        values
-            .iter()
-            .map(|&v| {
-                let mut masses = BTreeMap::new();
-                masses.insert(v, (BigRational::one(), BigRational::one()));
-                ExactFrequencyState { masses }
-            })
-            .collect()
-    }
-}
-
-impl IsotropicAlgorithm for PushSumFrequencyExact {
-    type State = ExactFrequencyState;
-    type Msg = BTreeMap<u64, ExactMass>;
-    type Output = BTreeMap<u64, BigRational>;
-
-    fn message(&self, state: &ExactFrequencyState, outdegree: usize) -> Self::Msg {
-        let d = outdegree as u64;
-        state
-            .masses
-            .iter()
-            .map(|(&v, (y, z))| (v, (y.div_integer(d), z.div_integer(d))))
-            .collect()
-    }
-
-    fn transition(&self, state: &ExactFrequencyState, inbox: &[Self::Msg]) -> ExactFrequencyState {
-        let mut next: BTreeMap<u64, ExactMass> = BTreeMap::new();
-        for msg in inbox {
-            for (&v, (ys, zs)) in msg {
-                let e = next
-                    .entry(v)
-                    .or_insert_with(|| (BigRational::zero(), BigRational::zero()));
-                e.0 = &e.0 + ys;
-                e.1 = &e.1 + zs;
-            }
-        }
-        for (v, mass) in next.iter_mut() {
-            if !state.masses.contains_key(v) {
-                mass.1 = &mass.1 + &BigRational::one();
-            }
-        }
-        ExactFrequencyState { masses: next }
-    }
-
-    fn output(&self, state: &ExactFrequencyState) -> Self::Output {
-        state
-            .masses
-            .iter()
-            .filter(|(_, (_, z))| z.is_positive())
-            .map(|(&v, (y, z))| (v, y / z))
+            .filter_map(|(&v, m)| S::frequency(&m.y, &m.z, self.leaders).map(|x| (v, x)))
             .collect()
     }
 }
@@ -647,10 +556,10 @@ mod tests {
     #[test]
     fn exact_push_sum_conserves_mass() {
         let net = StaticGraph::new(generators::random_strongly_connected(6, 5, 2));
-        let inits = PushSumExactState::averaging(&[3, 1, 4, 1, 5, 9]);
+        let inits = PushSumState::<BigRational>::averaging(&[3.0, 1.0, 4.0, 1.0, 5.0, 9.0]);
         let total_y: BigRational = inits.iter().map(|s| &s.y).sum();
         let total_z: BigRational = inits.iter().map(|s| &s.z).sum();
-        let mut exec = Execution::new(Isotropic(PushSumExact), inits);
+        let mut exec = Execution::new(Isotropic(PushSum::new()), inits);
         exec.drive(&net, RunConfig::rounds(25));
         let y_now: BigRational = exec.states().iter().map(|s| &s.y).sum();
         let z_now: BigRational = exec.states().iter().map(|s| &s.z).sum();
@@ -868,8 +777,8 @@ mod tests {
         let n = values.len();
         let net = StaticGraph::new(generators::directed_ring(n));
         let mut exec = Execution::new(
-            Isotropic(PushSumFrequencyExact),
-            ExactFrequencyState::initial(&values),
+            Isotropic(PushSumFrequency::<BigRational>::new(None)),
+            FrequencyState::initial(&values),
         );
         for round in 1..=12u64 {
             let g = net.graph(round);
@@ -878,7 +787,7 @@ mod tests {
                 let y_total: BigRational = exec
                     .states()
                     .iter()
-                    .filter_map(|s| s.masses.get(&omega).map(|(y, _)| y))
+                    .filter_map(|s| s.masses.get(&omega).map(|m| &m.y))
                     .sum();
                 let mult = values.iter().filter(|&&v| v == omega).count() as i64;
                 assert_eq!(
@@ -893,7 +802,7 @@ mod tests {
                     let z_total: BigRational = exec
                         .states()
                         .iter()
-                        .filter_map(|s| s.masses.get(&omega).map(|(_, z)| z))
+                        .filter_map(|s| s.masses.get(&omega).map(|m| &m.z))
                         .sum();
                     assert_eq!(z_total, BigRational::from_integer(n as i64));
                 }
@@ -906,8 +815,8 @@ mod tests {
         let values = [1u64, 1, 7];
         let net = StaticGraph::new(generators::complete(3));
         let mut exact = Execution::new(
-            Isotropic(PushSumFrequencyExact),
-            ExactFrequencyState::initial(&values),
+            Isotropic(PushSumFrequency::<BigRational>::new(None)),
+            FrequencyState::initial(&values),
         );
         let mut float = Execution::new(
             Isotropic(PushSumFrequency::frequency()),

@@ -4,7 +4,7 @@ use kya_algos::frequency::CensusOutdegree;
 use kya_algos::gossip::SetGossip;
 use kya_algos::lifting::{check_lifting, close_fibration, ring_fibration};
 use kya_algos::min_base::{MinBaseBroadcast, ViewState};
-use kya_algos::push_sum::{PushSumExact, PushSumExactState};
+use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_algos::views::View;
 use kya_arith::BigRational;
 use kya_fibration::iso::are_isomorphic;
@@ -43,10 +43,10 @@ proptest! {
         let n = p * mult;
         let (g, b, phi) = ring_fibration(n, p);
         let (gc, bc, phic) = close_fibration(&phi, &g, &b);
-        let base_values: Vec<i64> = seed_vals.iter().take(p).copied().collect();
-        let inits = PushSumExactState::averaging(&base_values);
+        let base_values: Vec<f64> = seed_vals.iter().take(p).map(|&v| v as f64).collect();
+        let inits = PushSumState::<BigRational>::averaging(&base_values);
         prop_assert!(
-            check_lifting(&Isotropic(PushSumExact), &gc, &bc, &phic, inits, (n + 4) as u64).is_ok()
+            check_lifting(&Isotropic(PushSum::<BigRational>::new()), &gc, &bc, &phic, inits, (n + 4) as u64).is_ok()
         );
     }
 
@@ -110,11 +110,11 @@ proptest! {
         rounds in 1u64..12,
     ) {
         let net = RandomDynamicGraph::directed(n, 2, seed);
-        let values: Vec<i64> = vals.iter().take(n).copied().collect();
-        let inits = PushSumExactState::averaging(&values);
+        let values: Vec<f64> = vals.iter().take(n).map(|&v| v as f64).collect();
+        let inits = PushSumState::<BigRational>::averaging(&values);
         let y0: BigRational = inits.iter().map(|s| &s.y).sum();
         let z0: BigRational = inits.iter().map(|s| &s.z).sum();
-        let mut exec = Execution::new(Isotropic(PushSumExact), inits);
+        let mut exec = Execution::new(Isotropic(PushSum::<BigRational>::new()), inits);
         exec.drive(&net, RunConfig::rounds(rounds));
         let y1: BigRational = exec.states().iter().map(|s| &s.y).sum();
         let z1: BigRational = exec.states().iter().map(|s| &s.z).sum();
@@ -158,8 +158,8 @@ proptest! {
             })
             .collect();
         prop_assert!(check_multiset_invariance(
-            &Isotropic(PushSumExact),
-            &PushSumExactState::new(BigRational::zero(), BigRational::one()),
+            &Isotropic(PushSum::<BigRational>::new()),
+            &PushSumState::new(BigRational::zero(), BigRational::one()),
             &ps_inbox,
             8,
             seed

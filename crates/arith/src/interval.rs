@@ -37,7 +37,7 @@
 //! gcd normalization is deferred to [`LazyRational::reduce`], so ℚ work
 //! is paid per-certification, not per-op.
 
-use crate::{BigInt, BigRational};
+use crate::{BigInt, BigRational, Scalar};
 
 /// Whether an enclosure can decide a comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -226,16 +226,6 @@ impl Enclosure {
         }
     }
 
-    /// The zero point.
-    pub fn zero() -> Enclosure {
-        Enclosure { lo: 0.0, hi: 0.0 }
-    }
-
-    /// The unit point.
-    pub fn one() -> Enclosure {
-        Enclosure { lo: 1.0, hi: 1.0 }
-    }
-
     /// Lower endpoint.
     pub fn lo(&self) -> f64 {
         self.lo
@@ -334,31 +324,6 @@ impl Enclosure {
             Certainty::Unknown => Certainty::Unknown,
         }
     }
-
-    /// Certified sign: `Certain(true)` strictly positive,
-    /// `Certain(false)` strictly negative, `Unknown` when the enclosure
-    /// touches zero — the frequency-table tie case that escalates.
-    pub fn sign_positive(&self) -> Certainty {
-        if self.lo > 0.0 {
-            Certainty::Certain(true)
-        } else if self.hi < 0.0 {
-            Certainty::Certain(false)
-        } else {
-            Certainty::Unknown
-        }
-    }
-
-    /// Interval division by a positive integer (the Push-Sum message
-    /// split). Exact divisions — powers of two, exactly representable
-    /// quotients — stay points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn div_u64(&self, k: u64) -> Enclosure {
-        assert!(k != 0, "division by zero");
-        *self / Enclosure::from_u64(k)
-    }
 }
 
 impl std::ops::Neg for Enclosure {
@@ -432,9 +397,60 @@ impl std::ops::Div for Enclosure {
     }
 }
 
-impl std::iter::Sum for Enclosure {
-    fn sum<I: Iterator<Item = Enclosure>>(iter: I) -> Enclosure {
-        iter.fold(Enclosure::zero(), |acc, e| acc + e)
+impl Scalar for Enclosure {
+    type Out = Enclosure;
+
+    fn zero() -> Enclosure {
+        Enclosure { lo: 0.0, hi: 0.0 }
+    }
+
+    fn one() -> Enclosure {
+        Enclosure { lo: 1.0, hi: 1.0 }
+    }
+
+    fn lift(v: f64) -> Enclosure {
+        Enclosure::point(v)
+    }
+
+    fn add(&self, rhs: &Enclosure) -> Enclosure {
+        *self + *rhs
+    }
+
+    fn sub(&self, rhs: &Enclosure) -> Enclosure {
+        *self - *rhs
+    }
+
+    fn mul(&self, rhs: &Enclosure) -> Enclosure {
+        *self * *rhs
+    }
+
+    /// Exact divisions — powers of two, exactly representable
+    /// quotients — stay points.
+    fn div_degree(&self, d: usize) -> Enclosure {
+        assert!(d != 0, "division by zero");
+        *self / Enclosure::from_u64(d as u64)
+    }
+
+    fn is_positive(&self) -> bool {
+        self.lo > 0.0
+    }
+
+    fn ratio(&self, den: &Enclosure) -> Enclosure {
+        *self / *den
+    }
+
+    /// A weight that cannot be certified positive — the frequency-table
+    /// tie — yields [`Enclosure::ENTIRE`], which no finite f64 escapes
+    /// but which certifies nothing, forcing escalation.
+    fn frequency(y: &Enclosure, z: &Enclosure, leaders: Option<usize>) -> Option<Enclosure> {
+        if !z.is_positive() {
+            return Some(Enclosure::ENTIRE);
+        }
+        let x = *y / *z;
+        Some(match leaders {
+            Some(ell) => x * Enclosure::from_u64(ell as u64),
+            None => x,
+        })
     }
 }
 
@@ -447,7 +463,7 @@ impl std::iter::Sum for Enclosure {
 /// normalization: `add`/`sub` cancel only the *denominator* gcd (which
 /// keeps a Push-Sum round's denominator at the lcm of the incoming
 /// message denominators instead of their product — linear instead of
-/// exponential bit growth), `mul` and `div_integer` cancel nothing, and
+/// exponential bit growth), `mul` and `div_degree` cancel nothing, and
 /// one full gcd is paid in [`LazyRational::reduce`] at the end.
 #[derive(Clone, Debug)]
 pub struct LazyRational {
@@ -456,22 +472,6 @@ pub struct LazyRational {
 }
 
 impl LazyRational {
-    /// The zero value.
-    pub fn zero() -> LazyRational {
-        LazyRational {
-            num: BigInt::zero(),
-            den: BigInt::one(),
-        }
-    }
-
-    /// The unit value.
-    pub fn one() -> LazyRational {
-        LazyRational {
-            num: BigInt::one(),
-            den: BigInt::one(),
-        }
-    }
-
     /// An exact integer.
     pub fn from_integer(v: impl Into<BigInt>) -> LazyRational {
         LazyRational {
@@ -493,9 +493,42 @@ impl LazyRational {
         self.num.is_zero()
     }
 
+    /// Negation.
+    pub fn neg(&self) -> LazyRational {
+        LazyRational {
+            num: -&self.num,
+            den: self.den.clone(),
+        }
+    }
+
+    /// Pay the deferred normalization: one full gcd, returning the
+    /// canonical [`BigRational`] certifications compare with.
+    pub fn reduce(&self) -> BigRational {
+        BigRational::new(self.num.clone(), self.den.clone())
+    }
+}
+
+/// Every operation stays unnormalized; the output projection pays the
+/// one full gcd per value (the certification point). The denominator is
+/// kept positive, so the sign is the numerator's.
+impl Scalar for LazyRational {
+    type Out = BigRational;
+
+    fn zero() -> LazyRational {
+        LazyRational::from_integer(0)
+    }
+
+    fn one() -> LazyRational {
+        LazyRational::from_integer(1)
+    }
+
+    fn lift(v: f64) -> LazyRational {
+        LazyRational::from_rational(&BigRational::lift(v))
+    }
+
     /// Lazy sum: cancels the denominator gcd only, skipping the second
     /// numerator-side gcd a canonical add would pay.
-    pub fn add(&self, other: &LazyRational) -> LazyRational {
+    fn add(&self, other: &LazyRational) -> LazyRational {
         let g = self.den.gcd(&other.den);
         if g.is_one() {
             LazyRational {
@@ -512,50 +545,33 @@ impl LazyRational {
         }
     }
 
-    /// Lazy difference.
-    pub fn sub(&self, other: &LazyRational) -> LazyRational {
+    fn sub(&self, other: &LazyRational) -> LazyRational {
         self.add(&other.neg())
     }
 
     /// Lazy product: no cancellation at all.
-    pub fn mul(&self, other: &LazyRational) -> LazyRational {
+    fn mul(&self, other: &LazyRational) -> LazyRational {
         LazyRational {
             num: &self.num * &other.num,
             den: &self.den * &other.den,
         }
     }
 
-    /// Lazy division by a positive integer: one limb multiply, no gcd.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn div_integer(&self, k: u64) -> LazyRational {
-        assert!(k != 0, "division by zero");
+    /// One limb multiply, no gcd.
+    fn div_degree(&self, d: usize) -> LazyRational {
+        assert!(d != 0, "division by zero");
         LazyRational {
             num: self.num.clone(),
-            den: &self.den * &BigInt::from(k),
+            den: &self.den * &BigInt::from(d),
         }
     }
 
-    /// Negation.
-    pub fn neg(&self) -> LazyRational {
-        LazyRational {
-            num: -&self.num,
-            den: self.den.clone(),
-        }
+    fn is_positive(&self) -> bool {
+        self.num.is_positive()
     }
 
-    /// Pay the deferred normalization: one full gcd, returning the
-    /// canonical [`BigRational`] certifications compare with.
-    pub fn reduce(&self) -> BigRational {
-        BigRational::new(self.num.clone(), self.den.clone())
-    }
-}
-
-impl std::iter::Sum for LazyRational {
-    fn sum<I: Iterator<Item = LazyRational>>(iter: I) -> LazyRational {
-        iter.fold(LazyRational::zero(), |acc, x| acc.add(&x))
+    fn ratio(&self, den: &LazyRational) -> BigRational {
+        &self.reduce() / &den.reduce()
     }
 }
 
@@ -579,7 +595,7 @@ mod tests {
         assert_eq!((a * b).lo(), 0.125);
         assert!((a / b).is_point());
         assert_eq!((a / b).lo(), 2.0);
-        assert!(Enclosure::point(1.0).div_u64(4).is_point());
+        assert!(Enclosure::point(1.0).div_degree(4).is_point());
     }
 
     #[test]
@@ -591,7 +607,7 @@ mod tests {
         let exact = &BigRational::from_f64(0.1).unwrap() + &BigRational::from_f64(0.2).unwrap();
         assert!(s.contains_rational(&exact));
         // One third of a point is inexact but only two ulps wide.
-        let t = Enclosure::one().div_u64(3);
+        let t = Enclosure::one().div_degree(3);
         assert!(t.contains(1.0 / 3.0));
         assert!(t.contains_rational(&rat(1, 3)));
         assert!(t.width() <= 4.0 * f64::EPSILON);
@@ -607,7 +623,7 @@ mod tests {
         assert!(straddle.lo() < 0.0 && straddle.hi() > 0.0);
         assert_eq!(Enclosure::one() / straddle, Enclosure::ENTIRE);
         assert!(!Enclosure::ENTIRE.is_bounded());
-        assert_eq!(Enclosure::ENTIRE.sign_positive(), Certainty::Unknown);
+        assert!(!Enclosure::ENTIRE.is_positive());
         assert!(Enclosure::ENTIRE.contains(f64::INFINITY));
         assert!(!Enclosure::ENTIRE.contains(f64::NAN));
     }
@@ -618,8 +634,8 @@ mod tests {
         assert_eq!(e.le(1.0), Certainty::Certain(true));
         assert_eq!(e.le(0.5), Certainty::Certain(false));
         assert_eq!(e.gt(0.0), Certainty::Certain(true));
-        assert_eq!(e.sign_positive(), Certainty::Certain(true));
-        assert_eq!((-e).sign_positive(), Certainty::Certain(false));
+        assert!(e.is_positive());
+        assert!(!(-e).is_positive());
         // A threshold inside the interval is undecidable.
         let wide = Enclosure::point(0.1) + Enclosure::point(0.2);
         assert_eq!(wide.le(0.1 + 0.2), Certainty::Unknown);
@@ -677,7 +693,7 @@ mod tests {
         assert_eq!(a.add(&b).reduce(), &rat(3, 7) + &rat(-5, 21));
         assert_eq!(a.sub(&b).reduce(), &rat(3, 7) - &rat(-5, 21));
         assert_eq!(a.mul(&b).reduce(), &rat(3, 7) * &rat(-5, 21));
-        assert_eq!(a.div_integer(4).reduce(), rat(3, 7).div_integer(4));
+        assert_eq!(a.div_degree(4).reduce(), rat(3, 7).div_integer(4));
         assert_eq!(a.neg().reduce(), -&rat(3, 7));
         assert!(LazyRational::zero().is_zero());
         assert_eq!(LazyRational::one().reduce(), BigRational::one());
@@ -738,9 +754,9 @@ mod tests {
                         f *= k as f64;
                     }
                     Op::DivInt(k) => {
-                        enc = enc.div_u64(k as u64);
+                        enc = enc.div_degree(k as usize);
                         exact = exact.div_integer(k as u64);
-                        lazy = lazy.div_integer(k as u64);
+                        lazy = lazy.div_degree(k as usize);
                         f /= k as f64;
                     }
                 }
@@ -773,8 +789,8 @@ mod tests {
                         lazy = lazy.mul(&LazyRational::from_integer(k as i64));
                     }
                     Op::DivInt(k) => {
-                        enc = enc.div_u64(k as u64);
-                        lazy = lazy.div_integer(k as u64);
+                        enc = enc.div_degree(k as usize);
+                        lazy = lazy.div_degree(k as usize);
                     }
                 }
             }

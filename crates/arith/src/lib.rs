@@ -16,6 +16,9 @@
 //! - [`interval`]: directed-rounding f64 enclosures ([`Enclosure`]) and
 //!   the lazily-normalized [`LazyRational`] — the certified backend's
 //!   "certify in f64, escalate to ℚ" ladder,
+//! - [`Scalar`]: the operations the averaging algorithms perform,
+//!   implemented for `f64`, [`Enclosure`], [`BigRational`] and
+//!   [`LazyRational`] so each algorithm is written once,
 //! - [`spectral`]: a Perron–Frobenius-style toolkit for non-negative
 //!   matrices (spectral radius, irreducibility) mirroring the paper's
 //!   rank-one argument,
@@ -48,6 +51,7 @@ mod int_linalg;
 pub mod interval;
 mod linalg;
 mod rational;
+mod scalar;
 pub mod spectral;
 pub mod stochastic;
 
@@ -56,6 +60,7 @@ pub use int_linalg::IMatrix;
 pub use interval::{Certainty, Enclosure, LazyRational};
 pub use linalg::{KernelError, QMatrix};
 pub use rational::{BigRational, ParseRationalError};
+pub use scalar::Scalar;
 
 /// Greatest common divisor of two big integers (always non-negative).
 ///

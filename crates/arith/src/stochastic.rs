@@ -158,11 +158,11 @@ mod tests {
 
     #[test]
     fn alpha_safety_certification() {
-        use crate::{Certainty, Enclosure};
+        use crate::{Certainty, Enclosure, Scalar};
         // Exact zeros and provably-safe weights certify true.
         let safe = [
             Enclosure::zero(),
-            Enclosure::one().div_u64(3),
+            Enclosure::one().div_degree(3),
             Enclosure::point(0.5),
         ];
         assert_eq!(
@@ -170,7 +170,7 @@ mod tests {
             Certainty::Certain(true)
         );
         // A weight provably inside (0, α) certifies the violation.
-        let unsafe_ = [Enclosure::point(0.5).div_u64(8)];
+        let unsafe_ = [Enclosure::point(0.5).div_degree(8)];
         assert_eq!(
             alpha_safety_certified(&unsafe_, 0.25),
             Certainty::Certain(false)

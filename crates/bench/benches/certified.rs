@@ -20,15 +20,11 @@
 //! smoke invocation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kya_algos::certified::{
-    CertifiedFrequencyState, CertifiedPushSum, CertifiedPushSumFrequency, CertifiedPushSumState,
-    LazyFrequencyState, LazyPushSumExact, LazyPushSumFrequencyExact, LazyPushSumState,
-};
-use kya_algos::push_sum::{
-    ExactFrequencyState, PushSumExact, PushSumExactState, PushSumFrequencyExact,
-};
+use kya_algos::push_sum::{FrequencyState, PushSum, PushSumFrequency, PushSumState};
+use kya_arith::{BigRational, Enclosure, LazyRational, Scalar};
 use kya_graph::{generators, StaticGraph};
 use kya_runtime::{Execution, Isotropic, RunConfig};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// The full conformance matrix's round budget.
@@ -40,6 +36,26 @@ const SIZES: [usize; 4] = [4, 6, 8, 12];
 /// The backend cells' deterministic inputs: small values in `1..=9`.
 fn vals(n: usize) -> Vec<u64> {
     (0..n).map(|i| 1 + (i as u64 * 7 + 3) % 9).collect()
+}
+
+/// One scalar Push-Sum backend cell over `S`.
+fn pushsum<S: Scalar>(net: &StaticGraph, values: &[f64]) -> Vec<S::Out> {
+    let mut exec = Execution::new(
+        Isotropic(PushSum::<S>::new()),
+        PushSumState::averaging(values),
+    );
+    exec.drive(net, RunConfig::rounds(ROUNDS));
+    exec.outputs()
+}
+
+/// One frequency Push-Sum backend cell over `S`.
+fn frequency<S: Scalar>(net: &StaticGraph, values: &[u64]) -> Vec<BTreeMap<u64, S::Out>> {
+    let mut exec = Execution::new(
+        Isotropic(PushSumFrequency::<S>::new(None)),
+        FrequencyState::initial(values),
+    );
+    exec.drive(net, RunConfig::rounds(ROUNDS));
+    exec.outputs()
 }
 
 fn bench_scalar(c: &mut Criterion) {
@@ -54,36 +70,14 @@ fn bench_scalar(c: &mut Criterion) {
         for n in SIZES {
             let net = StaticGraph::new(make(n));
             let floats: Vec<f64> = vals(n).iter().map(|&v| v as f64).collect();
-            let ints: Vec<i64> = vals(n).iter().map(|&v| v as i64).collect();
             group.bench_with_input(BenchmarkId::new("certified", n), &n, |b, _| {
-                b.iter(|| {
-                    let mut exec = Execution::new(
-                        Isotropic(CertifiedPushSum),
-                        CertifiedPushSumState::averaging(&floats),
-                    );
-                    exec.drive(&net, RunConfig::rounds(ROUNDS));
-                    exec.outputs()
-                })
+                b.iter(|| pushsum::<Enclosure>(&net, &floats))
             });
             group.bench_with_input(BenchmarkId::new("lazy_exact", n), &n, |b, _| {
-                b.iter(|| {
-                    let mut exec = Execution::new(
-                        Isotropic(LazyPushSumExact),
-                        LazyPushSumState::averaging(&floats),
-                    );
-                    exec.drive(&net, RunConfig::rounds(ROUNDS));
-                    exec.outputs()
-                })
+                b.iter(|| pushsum::<LazyRational>(&net, &floats))
             });
             group.bench_with_input(BenchmarkId::new("exact", n), &n, |b, _| {
-                b.iter(|| {
-                    let mut exec = Execution::new(
-                        Isotropic(PushSumExact),
-                        PushSumExactState::averaging(&ints),
-                    );
-                    exec.drive(&net, RunConfig::rounds(ROUNDS));
-                    exec.outputs()
-                })
+                b.iter(|| pushsum::<BigRational>(&net, &floats))
             });
         }
         group.finish();
@@ -99,34 +93,13 @@ fn bench_frequency(c: &mut Criterion) {
         let net = StaticGraph::new(generators::directed_ring(n));
         let values = vals(n);
         group.bench_with_input(BenchmarkId::new("certified", n), &n, |b, _| {
-            b.iter(|| {
-                let mut exec = Execution::new(
-                    Isotropic(CertifiedPushSumFrequency),
-                    CertifiedFrequencyState::initial(&values),
-                );
-                exec.drive(&net, RunConfig::rounds(ROUNDS));
-                exec.outputs()
-            })
+            b.iter(|| frequency::<Enclosure>(&net, &values))
         });
         group.bench_with_input(BenchmarkId::new("lazy_exact", n), &n, |b, _| {
-            b.iter(|| {
-                let mut exec = Execution::new(
-                    Isotropic(LazyPushSumFrequencyExact),
-                    LazyFrequencyState::initial(&values),
-                );
-                exec.drive(&net, RunConfig::rounds(ROUNDS));
-                exec.outputs()
-            })
+            b.iter(|| frequency::<LazyRational>(&net, &values))
         });
         group.bench_with_input(BenchmarkId::new("exact", n), &n, |b, _| {
-            b.iter(|| {
-                let mut exec = Execution::new(
-                    Isotropic(PushSumFrequencyExact),
-                    ExactFrequencyState::initial(&values),
-                );
-                exec.drive(&net, RunConfig::rounds(ROUNDS));
-                exec.outputs()
-            })
+            b.iter(|| frequency::<BigRational>(&net, &values))
         });
     }
     group.finish();

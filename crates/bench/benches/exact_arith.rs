@@ -10,19 +10,19 @@
 //!   (multi-limb division and gcd) on operands of a few thousand bits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kya_algos::push_sum::{PushSumExact, PushSumExactState};
-use kya_arith::{gcd, BigInt};
+use kya_algos::push_sum::{PushSum, PushSumState};
+use kya_arith::{gcd, BigInt, BigRational};
 use kya_graph::{generators, StaticGraph};
 use kya_runtime::{Execution, Isotropic, RunConfig};
 use std::time::Duration;
 
 const ROUNDS: u64 = 200;
 
-fn exact_run(net: &StaticGraph, n: usize) -> Vec<kya_arith::BigRational> {
-    let values: Vec<i64> = (0..n).map(|i| (i * i % 97) as i64).collect();
+fn exact_run(net: &StaticGraph, n: usize) -> Vec<BigRational> {
+    let values: Vec<f64> = (0..n).map(|i| (i * i % 97) as f64).collect();
     let mut exec = Execution::new(
-        Isotropic(PushSumExact),
-        PushSumExactState::averaging(&values),
+        Isotropic(PushSum::<BigRational>::new()),
+        PushSumState::averaging(&values),
     );
     exec.drive(net, RunConfig::rounds(ROUNDS));
     exec.outputs()

@@ -117,37 +117,59 @@ fn graph_and_values(args: &Args) -> Result<(Digraph, Vec<u64>), SpecError> {
     Ok((g, values))
 }
 
-fn print_census(census: &FibreCensus, n: usize, args: &Args) {
-    println!("fibre census (ray {:?}):", census.ray());
+/// The census report: frequencies, then exact multiplicities when `n`
+/// (`--n`) or the number of leaders (`--leader K`) is known. In leader
+/// mode values are printed decoded, leaders marked `(leader)`.
+fn census_report(census: &FibreCensus, n: usize, known_n: bool, leaders: Option<usize>) -> String {
+    let label = |v: u64| match leaders {
+        Some(_) => {
+            let (payload, lead) = kya_core::value::decode(v);
+            format!("{payload}{}", if lead { " (leader)" } else { "" })
+        }
+        None => v.to_string(),
+    };
+    let mut out = format!("fibre census (ray {:?}):\n", census.ray());
     for (v, f) in census.frequencies() {
-        println!("  value {v}: frequency {f}");
+        out += &format!("  value {}: frequency {f}\n", label(v));
     }
-    if args.is_set("n") {
+    if known_n {
         match census.multiplicities_known_n(n) {
             Ok(mults) => {
-                println!("with n = {n} known:");
+                out += &format!("with n = {n} known:\n");
                 for (v, m) in mults {
-                    println!("  value {v}: multiplicity {m}");
+                    out += &format!("  value {}: multiplicity {m}\n", label(v));
                 }
             }
-            Err(e) => println!("with n known: {e}"),
+            Err(e) => out += &format!("with n known: {e}\n"),
         }
     }
-    if let Some(k) = args.optional("leader") {
-        let ell: usize = k.parse().unwrap_or(1);
+    if let Some(ell) = leaders {
         match census.multiplicities_with_leaders(ell, kya_core::value::is_leader) {
             Ok(mults) => {
-                println!("with {ell} leader(s):");
+                out += &format!("with {ell} leader(s):\n");
                 for (v, m) in mults {
-                    let (payload, lead) = kya_core::value::decode(v);
-                    println!(
-                        "  value {payload}{}: multiplicity {m}",
-                        if lead { " (leader)" } else { "" }
-                    );
+                    out += &format!("  value {}: multiplicity {m}\n", label(v));
                 }
             }
-            Err(e) => println!("with leader(s): {e}"),
+            Err(e) => out += &format!("with leader(s): {e}\n"),
         }
+    }
+    out
+}
+
+/// `--leader K`: the number of leaders, `1 ≤ K ≤ n`.
+fn leader_count(args: &Args, n: usize) -> Result<Option<usize>, SpecError> {
+    let Some(k) = args.optional("leader") else {
+        return Ok(None);
+    };
+    match k.parse::<usize>() {
+        Ok(k) if (1..=n).contains(&k) => Ok(Some(k)),
+        Ok(k) => Err(SpecError(format!(
+            "--leader must be between 1 and n = {n}, got {k}"
+        ))),
+        Err(_) => Err(SpecError(format!(
+            "--leader must be a number of leaders, got `{k}`"
+        ))),
     }
 }
 
@@ -182,13 +204,26 @@ fn cmd_minbase(args: &Args) -> Result<(), SpecError> {
 }
 
 fn cmd_census(args: &Args) -> Result<(), SpecError> {
+    print!("{}", census(args)?);
+    Ok(())
+}
+
+fn census(args: &Args) -> Result<String, SpecError> {
     let (g, mut values) = graph_and_values(args)?;
     if !connectivity::is_strongly_connected(&g) {
         return Err(SpecError("graph is not strongly connected".into()));
     }
-    if args.optional("leader").is_some() {
-        // Flag agent 0 as (the first) leader through its value.
-        values[0] = kya_core::value::encode(values[0], true);
+    let leaders = leader_count(args, g.n())?;
+    if let Some(k) = leaders {
+        if let Some(v) = values.iter().find(|&&v| kya_core::value::is_leader(v)) {
+            return Err(SpecError(format!(
+                "value {v} does not fit in 63 bits, the leader flag needs the top bit"
+            )));
+        }
+        // Flag agents 0..k as the leaders through their values.
+        for v in &mut values[..k] {
+            *v = kya_core::value::encode(*v, true);
+        }
     }
     let d = connectivity::diameter(&g.with_self_loops()).unwrap_or(g.n());
     let rounds = (g.n() + d + 6) as u64;
@@ -222,11 +257,10 @@ fn cmd_census(args: &Args) -> Result<(), SpecError> {
         }
     };
     match census {
-        Some(census) => {
-            println!("stabilized after at most {rounds} rounds (n + D + slack)");
-            print_census(&census, g.n(), args);
-            Ok(())
-        }
+        Some(census) => Ok(format!(
+            "stabilized after at most {rounds} rounds (n + D + slack)\n{}",
+            census_report(&census, g.n(), args.is_set("n"), leaders)
+        )),
         None => Err(SpecError(
             "census did not stabilize within n + D + slack rounds".into(),
         )),
@@ -1060,6 +1094,94 @@ mod tests {
         assert!(a
             .reject_unknown("kya minbase", &["graph", "values"])
             .is_ok());
+    }
+
+    #[test]
+    fn census_leader_count_is_parsed_strictly() {
+        for (k, needle) in [
+            ("abc", "a number"),
+            ("0", "between 1"),
+            ("true", "a number"),
+        ] {
+            let a = args(&[
+                "--graph",
+                "complete:3",
+                "--values",
+                "3,3,3",
+                "--model",
+                "outdegree",
+                "--leader",
+                k,
+            ]);
+            let err = census(&a).unwrap_err();
+            assert!(err.0.contains(needle), "--leader {k}: {err}");
+        }
+        // More leaders than agents.
+        let a = args(&[
+            "--graph",
+            "complete:1",
+            "--values",
+            "3",
+            "--model",
+            "outdegree",
+            "--leader",
+            "5",
+        ]);
+        assert!(census(&a).unwrap_err().0.contains("between 1"));
+        // A value using the top bit cannot carry the leader flag.
+        let a = args(&[
+            "--graph",
+            "complete:2",
+            "--values",
+            "1,9223372036854775808",
+            "--model",
+            "outdegree",
+            "--leader",
+            "1",
+        ]);
+        assert!(census(&a).unwrap_err().0.contains("63 bits"));
+    }
+
+    #[test]
+    fn census_flags_k_leaders() {
+        let a = args(&[
+            "--graph",
+            "complete:3",
+            "--values",
+            "3,3,3",
+            "--model",
+            "outdegree",
+            "--leader",
+            "2",
+        ]);
+        let report = census(&a).unwrap();
+        assert!(report.contains("with 2 leader(s):"), "{report}");
+        assert!(
+            report.contains("value 3 (leader): multiplicity 2"),
+            "{report}"
+        );
+        assert!(report.contains("value 3: multiplicity 1"), "{report}");
+    }
+
+    #[test]
+    fn census_frequencies_print_decoded_values() {
+        let a = args(&[
+            "--graph",
+            "star:4",
+            "--values",
+            "1,2,2,2",
+            "--model",
+            "symmetric",
+            "--leader",
+            "1",
+        ]);
+        let report = census(&a).unwrap();
+        assert!(
+            report.contains("value 1 (leader): frequency 1/4"),
+            "{report}"
+        );
+        assert!(report.contains("value 2: frequency 3/4"), "{report}");
+        assert!(!report.contains("9223372036854775"), "{report}");
     }
 
     #[test]

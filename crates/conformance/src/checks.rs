@@ -8,21 +8,16 @@
 
 use crate::fingerprint::Fingerprint;
 use crate::nets::{build_net, lift_ring};
-use kya_algos::certified::{
-    CertifiedFrequencyState, CertifiedPushSum, CertifiedPushSumFrequency, CertifiedPushSumState,
-    EscalationStats, LazyFrequencyState, LazyPushSumExact, LazyPushSumFrequencyExact,
-    LazyPushSumState,
-};
+use kya_algos::certified::EscalationStats;
 use kya_algos::gossip::SetGossip;
 use kya_algos::lifting::check_lifting;
 use kya_algos::metropolis::Metropolis;
 use kya_algos::min_base::{DepthCapped, MinBaseBroadcast, ViewState};
 use kya_algos::push_sum::{
-    total_mass, FrequencyState, PushSum, PushSumExact, PushSumExactState, PushSumFrequency,
-    PushSumFrequencyExact, PushSumState, SelfHealingPushSum,
+    total_mass, FrequencyState, PushSum, PushSumFrequency, PushSumState, SelfHealingPushSum,
 };
 use kya_algos::quantized::{QuantizedMetropolis, QuantizedPushSum};
-use kya_arith::{BigInt, BigRational};
+use kya_arith::{BigInt, BigRational, Enclosure, LazyRational};
 use kya_graph::{Digraph, DynamicGraph, StaticGraph};
 use kya_harness::{parse_graph, CellCtx, CellOutcome, ChurnSpec};
 use kya_runtime::churn::ChurnMasked;
@@ -30,8 +25,8 @@ use kya_runtime::faults::{FaultPlan, FaultyNetwork};
 use kya_runtime::metric::EuclideanMetric;
 use kya_runtime::telemetry::{CountingObserver, NullObserver, Observer};
 use kya_runtime::{
-    Algorithm, Backend, BandwidthCap, Broadcast, ByteLedger, CountingProbe, Execution,
-    FlatAlgorithm, FlatExecution, FlatRunConfig, Isotropic, MessageCodec, RunConfig,
+    Algorithm, BandwidthCap, Broadcast, ByteLedger, CountingProbe, Execution, FlatAlgorithm,
+    FlatExecution, FlatRunConfig, Isotropic, MessageCodec, RunConfig,
 };
 use std::cell::{Cell, RefCell};
 
@@ -803,19 +798,20 @@ fn check_bandwidth(ctx: &CellCtx) -> CellOutcome {
 // (a) Backend agreement — certified enclosures, no tolerance
 // ---------------------------------------------------------------------
 
-/// The certified backend oracle. Per cell it runs the f64 algorithm and
-/// its certified twin ([`CertifiedPushSum`] / [`CertifiedPushSumFrequency`])
-/// side by side and demands every f64 output lie **inside** its
-/// machine-checked enclosure — a sound bound on every round-to-nearest
-/// trajectory (see `kya_arith::interval`), so there is no tolerance knob
-/// to tune and nothing for a genuine divergence to hide under.
+/// The certified backend oracle. Per cell it runs the f64 instance of
+/// the algorithm and its [`Enclosure`] instance (`PushSum<Enclosure>` /
+/// `PushSumFrequency<Enclosure>`) side by side and demands every f64
+/// output lie **inside** its machine-checked enclosure — a sound bound
+/// on every round-to-nearest trajectory (see `kya_arith::interval`), so
+/// there is no tolerance knob to tune and nothing for a genuine
+/// divergence to hide under.
 ///
 /// When an enclosure cannot certify its comparison (unbounded interval:
 /// a weight that could not be proven positive), the cell *escalates*: it
-/// replays on the lazily-normalized exact twin ([`LazyPushSumExact`] /
-/// [`LazyPushSumFrequencyExact`]), audits that the exact ground truth
-/// also lies in the enclosure, and fails the uncertifiable f64 output —
-/// exactly the case the retired `f64_tolerance` comparison used to mask.
+/// replays on the lazily-normalized exact instance (over
+/// [`LazyRational`]), audits that the exact ground truth also lies in
+/// the enclosure, and fails the uncertifiable f64 output — exactly the
+/// case the retired `f64_tolerance` comparison used to mask.
 /// The `exact` variant forces the escalated path on every cell (the cost
 /// baseline) and additionally pins the lazy replay bit-identical to the
 /// eager exact backend.
@@ -831,23 +827,20 @@ fn check_backend(ctx: &CellCtx) -> CellOutcome {
     let n = net.n();
     let rounds = ctx.rounds();
     let vals = vals_u64(cell.cell_seed, n);
-    let backend = match cell.variant.as_str() {
-        // The bare axis means the default backend under test.
-        "" => Backend::Certified,
-        v => match Backend::parse(v) {
-            Some(Backend::F64) | None => {
-                return fail(format!("unknown backend variant `{v}`"));
-            }
-            Some(b) => b,
-        },
+    // The bare axis means the default backend under test; `exact`
+    // forces the escalated path on every cell.
+    let (backend, exact) = match cell.variant.as_str() {
+        "" | "certified" => ("certified", false),
+        "exact" => ("exact", true),
+        v => return fail(format!("unknown backend variant `{v}`")),
     };
     match cell.algorithm.as_str() {
         "pushsum" => {
             let floats: Vec<f64> = vals.iter().map(|&v| v as f64).collect();
             let mut approx = Execution::new(Isotropic(PushSum), PushSumState::averaging(&floats));
             let mut cert = Execution::new(
-                Isotropic(CertifiedPushSum),
-                CertifiedPushSumState::averaging(&floats),
+                Isotropic(PushSum::<Enclosure>::new()),
+                PushSumState::averaging(&floats),
             );
             approx.drive(net.as_ref(), RunConfig::rounds(rounds));
             cert.drive(net.as_ref(), RunConfig::rounds(rounds));
@@ -869,16 +862,17 @@ fn check_backend(ctx: &CellCtx) -> CellOutcome {
                     max_width = max_width.max(e.width());
                 }
             }
-            if backend == Backend::Exact || stats.escalations > 0 {
+            if exact || stats.escalations > 0 {
                 let mut lazy = Execution::new(
-                    Isotropic(LazyPushSumExact),
-                    LazyPushSumState::averaging(&floats),
+                    Isotropic(PushSum::<LazyRational>::new()),
+                    PushSumState::averaging(&floats),
                 );
                 lazy.drive(net.as_ref(), RunConfig::rounds(rounds));
                 let ground = lazy.outputs();
-                let ints: Vec<i64> = vals.iter().map(|&v| v as i64).collect();
-                let mut eager =
-                    Execution::new(Isotropic(PushSumExact), PushSumExactState::averaging(&ints));
+                let mut eager = Execution::new(
+                    Isotropic(PushSum::<BigRational>::new()),
+                    PushSumState::averaging(&floats),
+                );
                 eager.drive(net.as_ref(), RunConfig::rounds(rounds));
                 if ground != eager.outputs() {
                     return fail("lazy exact replay diverged from the eager exact backend");
@@ -901,7 +895,7 @@ fn check_backend(ctx: &CellCtx) -> CellOutcome {
             }
             CellOutcome::new()
                 .ok(true)
-                .detail("backend", backend.as_str().to_string())
+                .detail("backend", backend)
                 .detail("certifications", stats.certifications)
                 .detail("escalations", stats.escalations)
                 .detail("max_width", format!("{max_width:e}"))
@@ -912,8 +906,8 @@ fn check_backend(ctx: &CellCtx) -> CellOutcome {
                 FrequencyState::initial(&vals),
             );
             let mut cert = Execution::new(
-                Isotropic(CertifiedPushSumFrequency),
-                CertifiedFrequencyState::initial(&vals),
+                Isotropic(PushSumFrequency::<Enclosure>::new(None)),
+                FrequencyState::initial(&vals),
             );
             approx.drive(net.as_ref(), RunConfig::rounds(rounds));
             cert.drive(net.as_ref(), RunConfig::rounds(rounds));
@@ -945,16 +939,16 @@ fn check_backend(ctx: &CellCtx) -> CellOutcome {
                     }
                 }
             }
-            if backend == Backend::Exact || stats.escalations > 0 {
+            if exact || stats.escalations > 0 {
                 let mut lazy = Execution::new(
-                    Isotropic(LazyPushSumFrequencyExact),
-                    LazyFrequencyState::initial(&vals),
+                    Isotropic(PushSumFrequency::<LazyRational>::new(None)),
+                    FrequencyState::initial(&vals),
                 );
                 lazy.drive(net.as_ref(), RunConfig::rounds(rounds));
                 let ground = lazy.outputs();
                 let mut eager = Execution::new(
-                    Isotropic(PushSumFrequencyExact),
-                    kya_algos::push_sum::ExactFrequencyState::initial(&vals),
+                    Isotropic(PushSumFrequency::<BigRational>::new(None)),
+                    FrequencyState::initial(&vals),
                 );
                 eager.drive(net.as_ref(), RunConfig::rounds(rounds));
                 if ground != eager.outputs() {
@@ -988,7 +982,7 @@ fn check_backend(ctx: &CellCtx) -> CellOutcome {
             }
             CellOutcome::new()
                 .ok(true)
-                .detail("backend", backend.as_str().to_string())
+                .detail("backend", backend)
                 .detail("certifications", stats.certifications)
                 .detail("escalations", stats.escalations)
                 .detail("max_width", format!("{max_width:e}"))
@@ -1073,8 +1067,8 @@ fn check_relabel(ctx: &CellCtx) -> CellOutcome {
         // Exact arithmetic: multiset-invariant transitions, so exact
         // equality holds even though delivery orders differ.
         "pushsum-exact" => relabel_agree(
-            Isotropic(PushSumExact),
-            PushSumExactState::averaging(&vals.iter().map(|&v| v as i64).collect::<Vec<_>>()),
+            Isotropic(PushSum::<BigRational>::new()),
+            PushSumState::averaging(&vals.iter().map(|&v| v as f64).collect::<Vec<_>>()),
             &g,
             &perm,
             rounds,
@@ -1121,12 +1115,12 @@ fn check_mass(ctx: &CellCtx) -> CellOutcome {
         // somewhere — mass is conserved *exactly*, checked in exact
         // arithmetic.
         "exact-graph-faults" => {
-            let ints: Vec<i64> = vals.iter().map(|&v| v as i64).collect();
-            let inits = PushSumExactState::averaging(&ints);
+            let floats: Vec<f64> = vals.iter().map(|&v| v as f64).collect();
+            let inits = PushSumState::<BigRational>::averaging(&floats);
             let y0: BigRational = inits.iter().map(|s| &s.y).sum();
             let z0: BigRational = inits.iter().map(|s| &s.z).sum();
             let net = FaultyNetwork::new(StaticGraph::new(g), plan);
-            let mut exec = Execution::new(Isotropic(PushSumExact), inits);
+            let mut exec = Execution::new(Isotropic(PushSum::new()), inits);
             exec.drive(&net, RunConfig::rounds(rounds));
             let y: BigRational = exec.states().iter().map(|s| &s.y).sum();
             let z: BigRational = exec.states().iter().map(|s| &s.z).sum();
@@ -1189,11 +1183,11 @@ fn check_lift(ctx: &CellCtx) -> CellOutcome {
             rounds,
         ),
         "pushsum-exact" => check_lifting(
-            &Isotropic(PushSumExact),
+            &Isotropic(PushSum::<BigRational>::new()),
             &gc,
             &bc,
             &phic,
-            PushSumExactState::averaging(&base_vals.iter().map(|&v| v as i64).collect::<Vec<_>>()),
+            PushSumState::averaging(&base_vals.iter().map(|&v| v as f64).collect::<Vec<_>>()),
             rounds,
         ),
         other => return fail(format!("unknown lift algorithm `{other}`")),
@@ -1246,21 +1240,21 @@ fn check_churn(ctx: &CellCtx) -> CellOutcome {
     let vals = vals_u64(cell.cell_seed, n);
     match cell.algorithm.as_str() {
         "exact-mass" => {
-            let ints: Vec<i64> = vals.iter().map(|&v| v as i64).collect();
-            let fresh = PushSumExactState::averaging(&ints);
+            let floats: Vec<f64> = vals.iter().map(|&v| v as f64).collect();
+            let fresh = PushSumState::<BigRational>::averaging(&floats);
             let inits = fresh.clone();
             let y0: BigRational = inits.iter().map(|s| &s.y).sum();
             let z0: BigRational = inits.iter().map(|s| &s.z).sum();
             let stack = FaultyNetwork::new(ChurnMasked::new(net, membership.clone()), plan);
             let ledger = RefCell::new((BigRational::zero(), BigRational::zero()));
-            let reinit = |v: usize, parked: &PushSumExactState| {
+            let reinit = |v: usize, parked: &PushSumState<BigRational>| {
                 let f = fresh[v].clone();
                 let mut l = ledger.borrow_mut();
                 l.0 = &l.0 + &(&f.y - &parked.y);
                 l.1 = &l.1 + &(&f.z - &parked.z);
                 f
             };
-            let mut exec = Execution::new(Isotropic(PushSumExact), inits);
+            let mut exec = Execution::new(Isotropic(PushSum::new()), inits);
             exec.drive(
                 &stack,
                 RunConfig::rounds(rounds).membership(&membership, &reinit),

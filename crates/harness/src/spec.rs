@@ -89,11 +89,18 @@ fn near_square(n: usize) -> (usize, usize) {
     (r, n / r)
 }
 
+/// The most agents plus edges [`parse_graph`] builds: a spec whose
+/// counts (computed from its parameters before anything is allocated)
+/// exceed it is a typed error instead of an allocation abort. It admits
+/// the 10⁶-agent flat sweeps (`random:1000000:2000000:SEED`, 4·10⁶).
+pub const GRAPH_BUDGET: usize = 1 << 24;
+
 /// Parse a graph spec (see module docs for the grammar).
 ///
 /// # Errors
 ///
-/// Returns a [`SpecError`] describing the problem.
+/// Returns a [`SpecError`] describing the problem, including specs over
+/// [`GRAPH_BUDGET`].
 pub fn parse_graph(spec: &str) -> Result<Digraph, SpecError> {
     let mut parts = spec.split(':');
     let family = parts.next().unwrap_or_default();
@@ -103,43 +110,96 @@ pub fn parse_graph(spec: &str) -> Result<Digraph, SpecError> {
             .copied()
             .ok_or_else(|| err(format!("`{family}` needs more parameters (got `{spec}`)")))
     };
+    // Agent and edge counts, `None` on overflow.
+    let budget = |agents: Option<usize>, edges: Option<usize>| -> Result<(), SpecError> {
+        match agents.zip(edges).and_then(|(a, e)| a.checked_add(e)) {
+            Some(total) if total <= GRAPH_BUDGET => Ok(()),
+            _ => Err(err(format!(
+                "graph `{spec}` is too large: over {GRAPH_BUDGET} agents plus edges"
+            ))),
+        }
+    };
     let graph = match family {
-        "ring" => generators::directed_ring(parse_size(arg(0)?, "size")?),
-        "biring" => generators::bidirectional_ring(parse_size(arg(0)?, "size")?),
-        "star" => generators::star(parse_size(arg(0)?, "size")?),
-        "path" => generators::bidirectional_path(parse_size(arg(0)?, "size")?),
-        "complete" => generators::complete(parse_size(arg(0)?, "size")?),
+        "ring" => {
+            let n = parse_size(arg(0)?, "size")?;
+            budget(Some(n), Some(n))?;
+            generators::directed_ring(n)
+        }
+        "biring" => {
+            let n = parse_size(arg(0)?, "size")?;
+            budget(Some(n), n.checked_mul(2))?;
+            generators::bidirectional_ring(n)
+        }
+        "star" => {
+            let n = parse_size(arg(0)?, "size")?;
+            budget(Some(n), (n - 1).checked_mul(2))?;
+            generators::star(n)
+        }
+        "path" => {
+            let n = parse_size(arg(0)?, "size")?;
+            budget(Some(n), (n - 1).checked_mul(2))?;
+            generators::bidirectional_path(n)
+        }
+        "complete" => {
+            let n = parse_size(arg(0)?, "size")?;
+            budget(Some(n), n.checked_mul(n - 1))?;
+            generators::complete(n)
+        }
         "torus" => {
             let (r, c) = if arg(0)?.contains('x') {
                 parse_positive_pair(arg(0)?, "torus dimensions")?
             } else {
                 near_square(parse_size(arg(0)?, "torus size")?)
             };
+            let n = r.checked_mul(c);
+            budget(n, n.and_then(|n| n.checked_mul(2)))?;
             generators::directed_torus(r, c)
         }
-        "hypercube" => generators::hypercube(parse_num(arg(0)?, "dimension")? as u32),
+        "hypercube" => {
+            let dim = parse_num(arg(0)?, "dimension")?;
+            let n = u32::try_from(dim).ok().and_then(|d| 2usize.checked_pow(d));
+            budget(n, n.and_then(|n| n.checked_mul(dim)))?;
+            generators::hypercube(dim as u32)
+        }
         "debruijn" => {
             let (b, k) = parse_positive_pair(arg(0)?, "de Bruijn parameters")?;
+            let n = u32::try_from(k).ok().and_then(|k| b.checked_pow(k));
+            budget(n, n.and_then(|n| n.checked_mul(b)))?;
             generators::de_bruijn(b, k as u32)
         }
         "kautz" => {
             let (b, k) = parse_pair(arg(0)?, "Kautz parameters")?;
-            generators::kautz(positive(b, "Kautz parameters")?, k as u32)
+            let b = positive(b, "Kautz parameters")?;
+            let n = u32::try_from(k)
+                .ok()
+                .and_then(|k| b.checked_pow(k))
+                .and_then(|p| p.checked_mul(b + 1));
+            budget(n, n.and_then(|n| n.checked_mul(b)))?;
+            generators::kautz(b, k as u32)
         }
         "layered" => {
             let (g, s) = parse_positive_pair(arg(0)?, "layered-cycle parameters")?;
+            let n = g.checked_mul(s);
+            budget(n, n.and_then(|n| n.checked_mul(s)))?;
             generators::layered_cycle(g, s)
         }
         "random" => {
             let n = parse_size(arg(0)?, "size")?;
             let extra = parse_num(arg(1)?, "extra edge count")?;
             let seed = parse_num(arg(2)?, "seed")? as u64;
+            budget(Some(n), n.checked_add(extra))?;
             generators::random_strongly_connected(n, extra, seed)
         }
         "randbi" => {
             let n = parse_size(arg(0)?, "size")?;
             let extra = parse_num(arg(1)?, "extra pair count")?;
             let seed = parse_num(arg(2)?, "seed")? as u64;
+            budget(
+                Some(n),
+                (n - 1)
+                    .checked_add(extra)
+                    .and_then(|pairs| pairs.checked_mul(2)),
+            )?;
             generators::random_bidirectional_connected(n, extra, seed)
         }
         other => {
@@ -883,6 +943,40 @@ mod tests {
     fn zero_size_random_graphs_are_rejected() {
         rejects_zero("random:0:3:1");
         rejects_zero("randbi:0:3:1");
+    }
+
+    /// Assert `spec` is rejected by the graph budget, before allocating.
+    fn rejects_over_budget(spec: &str) {
+        let e = parse_graph(spec).expect_err(spec);
+        assert!(e.0.contains("too large"), "{spec}: {e}");
+    }
+
+    #[test]
+    fn hypercube_over_budget_is_rejected() {
+        rejects_over_budget("hypercube:30");
+        rejects_over_budget("hypercube:64");
+        assert_eq!(parse_graph("hypercube:10").unwrap().n(), 1024);
+    }
+
+    #[test]
+    fn complete_over_budget_is_rejected() {
+        rejects_over_budget("complete:1000000");
+        assert_eq!(parse_graph("complete:100").unwrap().edge_count(), 9900);
+    }
+
+    #[test]
+    fn de_bruijn_over_budget_is_rejected() {
+        rejects_over_budget("debruijn:2x40");
+        rejects_over_budget("debruijn:1000x1000");
+        rejects_over_budget("kautz:2x40");
+    }
+
+    #[test]
+    fn budget_admits_the_million_agent_sweeps() {
+        for spec in ["random:1000000:2000000:7", "torus:1000000", "ring:1000000"] {
+            assert_eq!(parse_graph(spec).unwrap().n(), 1_000_000, "{spec}");
+        }
+        rejects_over_budget("random:1000000:100000000:7");
     }
 
     #[test]

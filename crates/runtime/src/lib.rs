@@ -74,7 +74,7 @@ pub use algorithm::{
     Algorithm, Broadcast, BroadcastAlgorithm, CommunicationModel, Isotropic, IsotropicAlgorithm,
 };
 pub use bandwidth::{BandwidthCap, ByteLedger, MessageCodec};
-pub use config::{Backend, FlatRunConfig, RunConfig};
+pub use config::{FlatRunConfig, RunConfig};
 pub use execution::Execution;
 pub use flat::{exact_degree, DegreeOverflow, FlatAlgorithm, FlatExecution, MAX_EXACT_DEGREE};
 pub use probe::{

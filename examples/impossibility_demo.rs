@@ -11,7 +11,8 @@
 
 use know_your_audience::algos::gossip::SetGossip;
 use know_your_audience::algos::lifting::{check_lifting, close_fibration, ring_fibration};
-use know_your_audience::algos::push_sum::{PushSumExact, PushSumExactState};
+use know_your_audience::algos::push_sum::{PushSum, PushSumState};
+use know_your_audience::arith::BigRational;
 use know_your_audience::fibration::verify_fibration;
 use know_your_audience::graph::StaticGraph;
 use know_your_audience::runtime::{Broadcast, Execution, Isotropic, RunConfig};
@@ -39,9 +40,9 @@ fn main() {
 
     // 2. ...and for exact Push-Sum (outdegree awareness: the ring
     // fibration preserves outdegrees).
-    let base_inits = PushSumExactState::averaging(&[1, 3]);
+    let base_inits = PushSumState::<BigRational>::averaging(&[1.0, 3.0]);
     check_lifting(
-        &Isotropic(PushSumExact),
+        &Isotropic(PushSum::<BigRational>::new()),
         &gc,
         &bc,
         &phic,
@@ -53,8 +54,8 @@ fn main() {
 
     // 3. Consequence: the two networks are output-indistinguishable.
     let lifted = phic.lift_valuation(&base_inits);
-    let mut small = Execution::new(Isotropic(PushSumExact), base_inits);
-    let mut large = Execution::new(Isotropic(PushSumExact), lifted);
+    let mut small = Execution::new(Isotropic(PushSum::<BigRational>::new()), base_inits);
+    let mut large = Execution::new(Isotropic(PushSum::<BigRational>::new()), lifted);
     small.drive(&StaticGraph::new(bc), RunConfig::rounds(30));
     large.drive(&StaticGraph::new(gc), RunConfig::rounds(30));
 

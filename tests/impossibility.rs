@@ -10,7 +10,8 @@ use know_your_audience::algos::frequency::CensusOutdegree;
 use know_your_audience::algos::gossip::SetGossip;
 use know_your_audience::algos::lifting::{check_lifting, close_fibration, ring_fibration};
 use know_your_audience::algos::min_base::{MinBaseOutdegree, ViewState};
-use know_your_audience::algos::push_sum::{PushSumExact, PushSumExactState};
+use know_your_audience::algos::push_sum::{PushSum, PushSumState};
+use know_your_audience::arith::BigRational;
 use know_your_audience::fibration::{verify_covering, verify_fibration};
 use know_your_audience::graph::StaticGraph;
 use know_your_audience::runtime::{Broadcast, Execution, Isotropic, RunConfig};
@@ -27,9 +28,16 @@ fn ring_collapse_identifies_frequency_equivalent_inputs() {
 
     // Same base inputs (1, 2, 3); lifts are (1,2,3,1,2,3) on R_6 and
     // (1,2,3) on R_3 itself: equal frequencies, different multisets.
-    let base_inits = PushSumExactState::averaging(&[1, 2, 3]);
-    check_lifting(&Isotropic(PushSumExact), &g6c, &b3c, &phi6c, base_inits, 20)
-        .expect("no algorithm separates R_6(1,2,3,1,2,3) from R_3(1,2,3)");
+    let base_inits = PushSumState::<BigRational>::averaging(&[1.0, 2.0, 3.0]);
+    check_lifting(
+        &Isotropic(PushSum::<BigRational>::new()),
+        &g6c,
+        &b3c,
+        &phi6c,
+        base_inits,
+        20,
+    )
+    .expect("no algorithm separates R_6(1,2,3,1,2,3) from R_3(1,2,3)");
 }
 
 /// Simple broadcast cannot even see frequencies: the star K_{1,3} and the

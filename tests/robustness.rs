@@ -261,11 +261,10 @@ fn exact_mass_is_conserved_through_the_full_adversary_stack() {
     // predicate that preserves self-loops, so a parked agent's whole
     // (y, z) recirculates through its self-loop and Σy, Σz over ALL
     // agent slots are conserved as exact rationals — no tolerance.
-    use know_your_audience::algos::push_sum::{PushSumExact, PushSumExactState};
     use know_your_audience::arith::BigRational;
-    let ints: Vec<i64> = vec![3, 1, 4, 1, 5, 9];
-    let n = ints.len();
-    let inits = PushSumExactState::averaging(&ints);
+    let values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
+    let n = values.len();
+    let inits = PushSumState::<BigRational>::averaging(&values);
     let y0: BigRational = inits.iter().map(|s| &s.y).sum();
     let z0: BigRational = inits.iter().map(|s| &s.z).sum();
     let membership = ChurnPlan::new(1)
@@ -279,9 +278,9 @@ fn exact_mass_is_conserved_through_the_full_adversary_stack() {
         ),
         FaultPlan::new(9).drop_links(0.25).until(30),
     );
-    let mut exec = Execution::new(Isotropic(PushSumExact), inits);
+    let mut exec = Execution::new(Isotropic(PushSum::<BigRational>::new()), inits);
     // Carry policy: rejoins restore the parked state, reinit never runs.
-    let reinit = |_: usize, parked: &PushSumExactState| parked.clone();
+    let reinit = |_: usize, parked: &PushSumState<BigRational>| parked.clone();
     exec.drive(
         &stack,
         RunConfig::rounds(60).membership(&membership, &reinit),
