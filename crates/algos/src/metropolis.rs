@@ -27,7 +27,7 @@
 //! data, so they stay exact `usize`s on every scalar.
 
 use kya_arith::Scalar;
-use kya_runtime::{BroadcastAlgorithm, FlatAlgorithm, IsotropicAlgorithm};
+use kya_runtime::{BroadcastAlgorithm, IsotropicAlgorithm};
 use std::marker::PhantomData;
 
 /// Metropolis averaging: `x_i += Σ_j (x_j - x_i) / (1 + max(d_i, d_j))`
@@ -54,7 +54,7 @@ impl<S> Metropolis<S> {
 }
 
 /// Message of the Metropolis family: the sender's value and degree.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DegreeTagged<S = f64> {
     /// Sender's current output value.
     pub x: S,
@@ -97,36 +97,6 @@ impl<S: Scalar + PartialEq> IsotropicAlgorithm for Metropolis<S> {
 
     fn output(&self, state: &S) -> S {
         state.clone()
-    }
-}
-
-/// The flat (struct-of-arrays) twin of the boxed [`IsotropicAlgorithm`]
-/// impl: one state lane `[x]`, message lanes `[x, degree]` with the
-/// degree carried as an exactly-representable f64 (degrees < 2^53, so
-/// the f64 `max` agrees bitwise with the boxed usize `max`-then-cast).
-impl FlatAlgorithm for Metropolis {
-    const STATE_LANES: usize = 1;
-    const MSG_LANES: usize = 2;
-
-    fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]) {
-        msg[0] = state[0];
-        msg[1] = outdegree.saturating_sub(1) as f64;
-    }
-
-    fn transition(&self, state: &[f64], inbox: &[f64], next: &mut [f64]) {
-        let x = state[0];
-        let own = (inbox.len() / 2).saturating_sub(1) as f64;
-        let mut acc = x;
-        for m in inbox.chunks_exact(2) {
-            let dmax = m[1].max(own);
-            let w = 1.0 / (1.0 + dmax);
-            acc += w * (m[0] - x);
-        }
-        next[0] = acc;
-    }
-
-    fn output(&self, state: &[f64]) -> f64 {
-        state[0]
     }
 }
 

@@ -28,7 +28,7 @@
 //! `FrequencyState::initial`) infer it.
 
 use kya_arith::{BigInt, BigRational, Scalar};
-use kya_runtime::{FlatAlgorithm, IsotropicAlgorithm};
+use kya_runtime::{lane_columns, IsotropicAlgorithm, Lanes};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
@@ -91,10 +91,24 @@ impl PushSumState {
     /// Struct-of-arrays columns (`[y-lane, z-lane]`) for the flat
     /// executor ([`kya_runtime::FlatExecution`]) from boxed states.
     pub fn columns(states: &[PushSumState]) -> Vec<Vec<f64>> {
-        vec![
-            states.iter().map(|s| s.y).collect(),
-            states.iter().map(|s| s.z).collect(),
-        ]
+        lane_columns(states)
+    }
+}
+
+/// The flat engine's layout: lanes `[y, z]`.
+impl Lanes for PushSumState {
+    const LANES: usize = 2;
+
+    fn load(lanes: &[f64]) -> PushSumState {
+        PushSumState {
+            y: lanes[0],
+            z: lanes[1],
+        }
+    }
+
+    fn store(&self, lanes: &mut [f64]) {
+        lanes[0] = self.y;
+        lanes[1] = self.z;
     }
 }
 
@@ -128,37 +142,6 @@ impl<S: Scalar> IsotropicAlgorithm for PushSum<S> {
     /// failure mode).
     fn output(&self, state: &PushSumState<S>) -> S::Out {
         state.y.ratio(&state.z)
-    }
-}
-
-/// The flat (struct-of-arrays) twin of the boxed [`IsotropicAlgorithm`]
-/// impl: lanes `[y, z]` for both state and message, with every
-/// floating-point operation performed in the same order — the `flat`
-/// conformance oracle and `tests/flat_equivalence.rs` hold the two
-/// bitwise identical.
-impl FlatAlgorithm for PushSum {
-    const STATE_LANES: usize = 2;
-    const MSG_LANES: usize = 2;
-
-    fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]) {
-        let d = outdegree as f64;
-        msg[0] = state[0] / d;
-        msg[1] = state[1] / d;
-    }
-
-    fn transition(&self, _state: &[f64], inbox: &[f64], next: &mut [f64]) {
-        let mut y = 0.0;
-        let mut z = 0.0;
-        for m in inbox.chunks_exact(2) {
-            y += m[0];
-            z += m[1];
-        }
-        next[0] = y;
-        next[1] = z;
-    }
-
-    fn output(&self, state: &[f64]) -> f64 {
-        state[0] / state[1]
     }
 }
 

@@ -9,9 +9,9 @@
 //! - mass is held as whole tokens on the grid `ℚ_{2^b}` — an initial
 //!   value `v` becomes `round(v · 2^b)` tokens;
 //! - every token count stays a nonnegative integer far below `2^53`,
-//!   so its f64 lane representation is *exact*, the flat and boxed
-//!   twins agree bitwise, and token sums are order-independent — no
-//!   floating-point rounding anywhere in the dynamics;
+//!   so its f64 representation is *exact* and token sums are
+//!   order-independent — no floating-point rounding anywhere in the
+//!   dynamics;
 //! - every payload a [`QuantizedPushSum`] agent emits is a codeword of
 //!   the [`MessageCodec`], i.e. fits `b` bits *structurally* — the
 //!   executor meters the cap ([`RunConfig::bandwidth`]) but never
@@ -34,11 +34,16 @@
 //!   `T_{ji} = -T_{ij}` exactly and the token sum is invariant on any
 //!   symmetric graph — no outdegree hook needed.
 //!
+//! Both algorithms are written once, as [`IsotropicAlgorithm`]s; the
+//! flat engine ([`FlatExecution`]) runs these very impls, residual
+//! carry included.
+//!
+//! [`FlatExecution`]: kya_runtime::FlatExecution
 //! [`MessageCodec`]: kya_runtime::MessageCodec
 //! [`RunConfig::bandwidth`]: kya_runtime::RunConfig::bandwidth
 
 use crate::push_sum::PushSumState;
-use kya_runtime::{FlatAlgorithm, IsotropicAlgorithm, MessageCodec};
+use kya_runtime::{IsotropicAlgorithm, MessageCodec};
 
 /// Reinterpret a token lane as a count: the dynamics keep every lane a
 /// nonnegative integer below 2^53, so the cast is exact.
@@ -195,58 +200,6 @@ impl IsotropicAlgorithm for QuantizedPushSum {
     }
 }
 
-/// The flat twin of the boxed impl: state lanes `[y, z]`, message lanes
-/// `[qy, qz]`, identical integer arithmetic — bitwise equal at any
-/// thread count.
-impl FlatAlgorithm for QuantizedPushSum {
-    const STATE_LANES: usize = 2;
-    const MSG_LANES: usize = 2;
-
-    fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]) {
-        let s = PushSumState {
-            y: state[0],
-            z: state[1],
-        };
-        let (qy, qz) = self.shares(&s, outdegree);
-        msg[0] = qy as f64;
-        msg[1] = qz as f64;
-    }
-
-    fn transition(&self, _state: &[f64], _inbox: &[f64], _next: &mut [f64]) {
-        unreachable!(
-            "QuantizedPushSum's residual carry needs the round's outdegree; \
-             executors must call transition_with_outdegree"
-        )
-    }
-
-    fn transition_with_outdegree(
-        &self,
-        state: &[f64],
-        outdegree: usize,
-        inbox: &[f64],
-        next: &mut [f64],
-    ) {
-        let s = PushSumState {
-            y: state[0],
-            z: state[1],
-        };
-        let (qy, qz) = self.shares(&s, outdegree);
-        let d = outdegree.max(1) as u64;
-        let mut y = tokens(state[0]) - d * qy;
-        let mut z = tokens(state[1]) - d * qz;
-        for m in inbox.chunks_exact(2) {
-            y += tokens(m[0]);
-            z += tokens(m[1]);
-        }
-        next[0] = y as f64;
-        next[1] = z as f64;
-    }
-
-    fn output(&self, state: &[f64]) -> f64 {
-        state[0] / state[1]
-    }
-}
-
 /// Metropolis averaging over `b`-bit quantized token values on
 /// symmetric networks.
 ///
@@ -330,13 +283,6 @@ impl QuantizedMetropolis {
             .collect()
     }
 
-    /// The single flat state column for [`FlatExecution`].
-    ///
-    /// [`FlatExecution`]: kya_runtime::FlatExecution
-    pub fn columns(states: &[f64]) -> Vec<Vec<f64>> {
-        vec![states.to_vec()]
-    }
-
     /// Total token count over all agents — the exactly conserved
     /// quantity on symmetric graphs.
     pub fn total_tokens(states: &[f64]) -> u64 {
@@ -389,31 +335,6 @@ impl IsotropicAlgorithm for QuantizedMetropolis {
 
     fn output(&self, state: &f64) -> f64 {
         *state / self.scale()
-    }
-}
-
-/// The flat twin: one state lane `[x]`, message lanes `[w, degree]`,
-/// identical integer arithmetic — bitwise equal at any thread count.
-impl FlatAlgorithm for QuantizedMetropolis {
-    const STATE_LANES: usize = 1;
-    const MSG_LANES: usize = 2;
-
-    fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]) {
-        msg[0] = self.codec.encode_shifted(tokens(state[0]), self.shift) as f64;
-        msg[1] = outdegree.saturating_sub(1) as f64;
-    }
-
-    fn transition(&self, state: &[f64], inbox: &[f64], next: &mut [f64]) {
-        let own = (inbox.len() / 2).saturating_sub(1) as u64;
-        next[0] = self.fold(
-            tokens(state[0]),
-            own,
-            inbox.chunks_exact(2).map(|m| (tokens(m[0]), tokens(m[1]))),
-        );
-    }
-
-    fn output(&self, state: &[f64]) -> f64 {
-        state[0] / self.scale()
     }
 }
 

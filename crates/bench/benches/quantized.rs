@@ -93,8 +93,7 @@ fn bench_quantized_metropolis(c: &mut Criterion) {
                 &n,
                 |b, _| {
                     b.iter(|| {
-                        let mut exec =
-                            FlatExecution::new(algo, &g, QuantizedMetropolis::columns(&states));
+                        let mut exec = FlatExecution::new(algo, &g, vec![states.clone()]);
                         exec.run(ROUNDS, 4);
                         exec.outputs()[0]
                     })

@@ -281,7 +281,9 @@ fn cmd_pushsum(args: &Args) -> Result<(), SpecError> {
     }
     let rounds = args.u64_flag("rounds", 600)?;
     let seed = args.u64_flag("seed", 42)?;
-    let net = RandomDynamicGraph::directed(n, (n / 2).max(1), seed);
+    // A single agent has no pair to add an extra edge between.
+    let extra = if n > 1 { (n / 2).max(1) } else { 0 };
+    let net = RandomDynamicGraph::directed(n, extra, seed);
     let mut exec = Execution::new(
         Isotropic(PushSumFrequency::frequency()),
         FrequencyState::initial(&values),

@@ -25,8 +25,8 @@ use kya_runtime::faults::{FaultPlan, FaultyNetwork};
 use kya_runtime::metric::EuclideanMetric;
 use kya_runtime::telemetry::{CountingObserver, NullObserver, Observer};
 use kya_runtime::{
-    Algorithm, BandwidthCap, Broadcast, ByteLedger, CountingProbe, Execution, FlatAlgorithm,
-    FlatExecution, FlatRunConfig, Isotropic, MessageCodec, RunConfig,
+    lane_columns, Algorithm, BandwidthCap, Broadcast, ByteLedger, CountingProbe, Execution,
+    FlatAlgorithm, FlatExecution, FlatRunConfig, Isotropic, Lanes, MessageCodec, RunConfig,
 };
 use std::cell::{Cell, RefCell};
 
@@ -285,40 +285,33 @@ fn check_paths(ctx: &CellCtx) -> CellOutcome {
 // ---------------------------------------------------------------------
 
 /// Run the boxed sequential executor (the canon) against the flat
-/// SoA/CSR executor at 1, 2 and 4 threads and demand bit-identical
-/// states after every round. `lanes` projects a boxed state onto its
-/// flat state lanes; f64 `to_bits` equality is the comparison, so this
+/// SoA/CSR executor at 1, 2 and 4 threads — the same algorithm on both
+/// engines — and demand bit-identical states after every round. The
+/// boxed states are projected onto their flat lanes with
+/// [`Lanes::store`]; f64 `to_bits` equality is the comparison, so this
 /// is exactly the "flat-vs-boxed" differential oracle of the flat
 /// engine's determinism contract.
-fn flat_agree<A, F, L>(
-    algo: A,
-    flat: F,
-    inits: Vec<A::State>,
-    lanes: L,
+fn flat_agree<F: FlatAlgorithm + Clone>(
+    algo: F,
+    inits: Vec<F::State>,
     g: &Digraph,
     rounds: u64,
-) -> Result<u64, String>
-where
-    A: Algorithm,
-    F: FlatAlgorithm + Clone,
-    L: Fn(&A::State) -> Vec<f64>,
-{
-    let columns: Vec<Vec<f64>> = (0..F::STATE_LANES)
-        .map(|l| inits.iter().map(|s| lanes(s)[l]).collect())
-        .collect();
-    let mut boxed = Execution::new(algo, inits);
+) -> Result<u64, String> {
+    let columns = lane_columns(&inits);
+    let mut boxed = Execution::new(Isotropic(algo.clone()), inits);
     let mut flats: Vec<(usize, FlatExecution<F>)> = [1usize, 2, 4]
         .iter()
-        .map(|&t| (t, FlatExecution::new(flat.clone(), g, columns.clone())))
+        .map(|&t| (t, FlatExecution::new(algo.clone(), g, columns.clone())))
         .collect();
     let mut fp = Fingerprint::new();
+    let mut canon = vec![0.0f64; F::State::LANES];
     for t in 1..=rounds {
         boxed.step(g);
         for (threads, exec) in &mut flats {
             exec.step_threads(*threads);
             for (v, state) in boxed.states().iter().enumerate() {
-                let canon = lanes(state);
-                for (l, c) in canon.iter().enumerate().take(F::STATE_LANES) {
+                state.store(&mut canon);
+                for (l, c) in canon.iter().enumerate() {
                     if c.to_bits() != exec.lane(l)[v].to_bits() {
                         return Err(format!(
                             "round {t}: flat engine at {threads} thread(s) diverged \
@@ -353,21 +346,12 @@ fn check_flat(ctx: &CellCtx) -> CellOutcome {
     let seed = cell.cell_seed;
     let res = match cell.algorithm.as_str() {
         "pushsum" => flat_agree(
-            Isotropic(PushSum),
             PushSum,
             PushSumState::averaging(&vals_f64(seed, n)),
-            |s: &PushSumState| vec![s.y, s.z],
             &g,
             rounds,
         ),
-        "metropolis" => flat_agree(
-            Isotropic(Metropolis),
-            Metropolis,
-            vals_f64(seed, n),
-            |s: &f64| vec![*s],
-            &g,
-            rounds,
-        ),
+        "metropolis" => flat_agree(Metropolis, vals_f64(seed, n), &g, rounds),
         other => return fail(format!("unknown flat algorithm `{other}`")),
     };
     match res {
@@ -383,7 +367,7 @@ fn check_flat(ctx: &CellCtx) -> CellOutcome {
 /// the bit-exact strided sample digests — are **byte-identical**, then
 /// check the counters against the routing plan's ground truth: every
 /// round delivers exactly `plan.slots()` messages and touches exactly
-/// `slots × MSG_LANES × 8` arena bytes. Returns the fingerprint of the
+/// `slots × size_of::<Msg>()` arena bytes. Returns the fingerprint of the
 /// (shared) stream.
 fn probe_streams_agree<F: FlatAlgorithm + Clone>(
     flat: F,
@@ -412,7 +396,7 @@ fn probe_streams_agree<F: FlatAlgorithm + Clone>(
                 rounds * slots
             ));
         }
-        let arena = slots * (F::MSG_LANES * std::mem::size_of::<f64>()) as u64;
+        let arena = slots * std::mem::size_of::<F::Msg>() as u64;
         for e in probe.events() {
             if e.messages_routed != slots || e.arena_bytes != arena {
                 return Err(format!(
@@ -687,19 +671,12 @@ fn check_bandwidth(ctx: &CellCtx) -> CellOutcome {
             if let Some(v) = audit.violation {
                 return fail(v);
             }
-            let digest = match flat_agree(
-                Isotropic(algo),
-                algo,
-                inits.clone(),
-                |s: &PushSumState| vec![s.y, s.z],
-                &g,
-                rounds,
-            ) {
+            let digest = match flat_agree(algo, inits.clone(), &g, rounds) {
                 Ok(d) => d,
                 Err(e) => return fail(e),
             };
             let flat_ledger = ByteLedger::new();
-            let mut flat = FlatExecution::new(algo, &g, PushSumState::columns(&inits));
+            let mut flat = FlatExecution::new(algo, &g, lane_columns(&inits));
             flat.drive(FlatRunConfig::rounds(rounds).bandwidth(cap, &flat_ledger));
             let (y1, z1) = QuantizedPushSum::total_tokens(boxed.states());
             let scale = BigInt::from(codec.levels());
@@ -750,19 +727,12 @@ fn check_bandwidth(ctx: &CellCtx) -> CellOutcome {
             if let Some(v) = audit.violation {
                 return fail(v);
             }
-            let digest = match flat_agree(
-                Isotropic(algo),
-                algo,
-                inits.clone(),
-                |s: &f64| vec![*s],
-                &g,
-                rounds,
-            ) {
+            let digest = match flat_agree(algo, inits.clone(), &g, rounds) {
                 Ok(d) => d,
                 Err(e) => return fail(e),
             };
             let flat_ledger = ByteLedger::new();
-            let mut flat = FlatExecution::new(algo, &g, QuantizedMetropolis::columns(&inits));
+            let mut flat = FlatExecution::new(algo, &g, lane_columns(&inits));
             flat.drive(FlatRunConfig::rounds(rounds).bandwidth(cap, &flat_ledger));
             let t1 = QuantizedMetropolis::total_tokens(boxed.states());
             let scale = BigInt::from(codec.levels());

@@ -127,9 +127,14 @@ pub fn hypercube(dim: u32) -> Digraph {
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`.
+/// Panics if `n == 0`, or if `n == 1` and `extra_edges > 0` (a single
+/// vertex has no non-loop edge to add).
 pub fn random_strongly_connected(n: usize, extra_edges: usize, seed: u64) -> Digraph {
     assert!(n > 0, "graph needs at least one vertex");
+    assert!(
+        n > 1 || extra_edges == 0,
+        "a single vertex has no room for {extra_edges} extra edges"
+    );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut order: Vec<Vertex> = (0..n).collect();
     order.shuffle(&mut rng);
@@ -149,6 +154,15 @@ pub fn random_strongly_connected(n: usize, extra_edges: usize, seed: u64) -> Dig
     g
 }
 
+/// Unordered vertex pairs a spanning tree on `n >= 1` vertices leaves
+/// unlinked, `n(n-1)/2 - (n-1)`: the most extra pairs
+/// [`random_bidirectional_connected`] can add. Saturates at
+/// `usize::MAX` when `n(n-1)` overflows.
+pub fn free_pairs(n: usize) -> usize {
+    let tree = n.saturating_sub(1);
+    n.checked_mul(tree).map_or(usize::MAX, |m| m / 2 - tree)
+}
+
 /// A random connected *bidirectional* graph: a random spanning tree plus
 /// `extra_pairs` random antiparallel edge pairs.
 ///
@@ -156,9 +170,16 @@ pub fn random_strongly_connected(n: usize, extra_edges: usize, seed: u64) -> Dig
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`.
+/// Panics if `n == 0` or `extra_pairs` exceeds
+/// [`free_pairs`]`(n)`, the vertex pairs the spanning tree leaves
+/// unlinked (the search for a free pair would never end).
 pub fn random_bidirectional_connected(n: usize, extra_pairs: usize, seed: u64) -> Digraph {
     assert!(n > 0, "graph needs at least one vertex");
+    assert!(
+        extra_pairs <= free_pairs(n),
+        "{extra_pairs} extra pairs exceed the {} free pairs of {n} vertices",
+        free_pairs(n)
+    );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Digraph::new(n);
     // Random attachment spanning tree.
@@ -541,6 +562,30 @@ mod tests {
             assert!(b.is_bidirectional());
             assert!(is_strongly_connected(&b));
         }
+    }
+
+    #[test]
+    fn free_pairs_count_the_pairs_a_tree_leaves() {
+        assert_eq!(free_pairs(1), 0);
+        assert_eq!(free_pairs(2), 0);
+        assert_eq!(free_pairs(3), 1);
+        assert_eq!(free_pairs(4), 3);
+        assert_eq!(free_pairs(usize::MAX), usize::MAX);
+        // Exactly the free pairs fit: the result is complete.
+        let k4 = random_bidirectional_connected(4, free_pairs(4), 1);
+        assert_eq!(k4.edge_count(), 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "free pairs")]
+    fn bidirectional_generator_rejects_more_pairs_than_are_free() {
+        let _ = random_bidirectional_connected(3, 2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "single vertex")]
+    fn strongly_connected_generator_rejects_extra_edges_on_one_vertex() {
+        let _ = random_strongly_connected(1, 5, 1);
     }
 
     #[test]

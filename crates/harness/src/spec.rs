@@ -187,6 +187,11 @@ pub fn parse_graph(spec: &str) -> Result<Digraph, SpecError> {
             let n = parse_size(arg(0)?, "size")?;
             let extra = parse_num(arg(1)?, "extra edge count")?;
             let seed = parse_num(arg(2)?, "seed")? as u64;
+            if n == 1 && extra > 0 {
+                return Err(err(format!(
+                    "graph `{spec}` asks for {extra} extra edges, but a single agent has none"
+                )));
+            }
             budget(Some(n), n.checked_add(extra))?;
             generators::random_strongly_connected(n, extra, seed)
         }
@@ -194,6 +199,13 @@ pub fn parse_graph(spec: &str) -> Result<Digraph, SpecError> {
             let n = parse_size(arg(0)?, "size")?;
             let extra = parse_num(arg(1)?, "extra pair count")?;
             let seed = parse_num(arg(2)?, "seed")? as u64;
+            let free = generators::free_pairs(n);
+            if extra > free {
+                return Err(err(format!(
+                    "graph `{spec}` asks for {extra} extra pairs, but only {free} pairs \
+                     are free after the spanning tree"
+                )));
+            }
             budget(
                 Some(n),
                 (n - 1)
@@ -217,7 +229,9 @@ pub fn parse_graph(spec: &str) -> Result<Digraph, SpecError> {
 ///
 /// # Errors
 ///
-/// Returns a [`SpecError`] describing the problem.
+/// Returns a [`SpecError`] describing the problem, including lists
+/// longer than [`GRAPH_BUDGET`] values (checked before a repeat is
+/// expanded).
 pub fn parse_values(spec: &str) -> Result<Vec<u64>, SpecError> {
     let mut out = Vec::new();
     for item in spec.split(',') {
@@ -230,6 +244,15 @@ pub fn parse_values(spec: &str) -> Result<Vec<u64>, SpecError> {
                 let k: usize = k
                     .parse()
                     .map_err(|_| err(format!("invalid repeat count `{k}`")))?;
+                if out
+                    .len()
+                    .checked_add(k)
+                    .is_none_or(|len| len > GRAPH_BUDGET)
+                {
+                    return Err(err(format!(
+                        "value list `{spec}` is too long: over {GRAPH_BUDGET} values"
+                    )));
+                }
                 out.extend(std::iter::repeat_n(v, k));
             }
             None => out.push(
@@ -979,6 +1002,43 @@ mod tests {
         rejects_over_budget("random:1000000:100000000:7");
     }
 
+    /// Assert `spec` is rejected for asking more extra links than fit.
+    fn rejects_over_capacity(spec: &str) {
+        let e = parse_graph(spec).expect_err(spec);
+        assert!(e.0.contains("extra"), "{spec}: {e}");
+    }
+
+    #[test]
+    fn randbi_with_no_free_pair_on_two_agents_is_rejected() {
+        rejects_over_capacity("randbi:2:1:1");
+        assert_eq!(parse_graph("randbi:2:0:1").unwrap().edge_count(), 2);
+    }
+
+    #[test]
+    fn randbi_over_capacity_on_three_agents_is_rejected() {
+        rejects_over_capacity("randbi:3:2:1");
+        assert_eq!(parse_graph("randbi:3:1:1").unwrap().edge_count(), 6);
+    }
+
+    #[test]
+    fn randbi_over_capacity_on_four_agents_is_rejected() {
+        rejects_over_capacity("randbi:4:4:1");
+        // Three free pairs: the spanning tree plus all of them is K4.
+        assert_eq!(parse_graph("randbi:4:3:1").unwrap().edge_count(), 12);
+    }
+
+    #[test]
+    fn randbi_single_agent_extra_pair_is_rejected() {
+        rejects_over_capacity("randbi:1:1:1");
+        assert_eq!(parse_graph("randbi:1:0:1").unwrap().edge_count(), 0);
+    }
+
+    #[test]
+    fn random_single_agent_extra_edges_are_rejected() {
+        rejects_over_capacity("random:1:5:1");
+        assert_eq!(parse_graph("random:1:0:1").unwrap().edge_count(), 1);
+    }
+
     #[test]
     fn torus_single_size_factorizes_near_square() {
         // torus:12 = the 3x4 torus (same graph the old F6 hard-coded).
@@ -1006,6 +1066,25 @@ mod tests {
         assert!(parse_values("").is_err());
         assert!(parse_values("a,b").is_err());
         assert!(parse_values("1x").is_err());
+    }
+
+    #[test]
+    fn value_repeat_over_budget_is_rejected() {
+        // 2^32 copies: once a 32 GiB allocation abort.
+        let e = parse_values("1x4294967296").unwrap_err();
+        assert!(e.0.contains("too long"), "{e}");
+        // The running length counts too.
+        assert!(parse_values("1x16777216").is_ok());
+        assert!(parse_values("1x16777216,2x1").is_err());
+        assert!(parse_values("2x1,1x16777216").is_err());
+    }
+
+    #[test]
+    fn value_repeat_overflow_is_rejected() {
+        // usize::MAX copies: once a capacity-overflow panic.
+        let e = parse_values("1x18446744073709551615").unwrap_err();
+        assert!(e.0.contains("too long"), "{e}");
+        assert!(parse_values("1,1x18446744073709551615").is_err());
     }
 
     #[test]

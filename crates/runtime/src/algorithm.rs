@@ -98,7 +98,10 @@ pub trait Algorithm {
     /// its round-`t` sending function ran; splitting `σ`/`δ` into two
     /// callbacks artificially lost that information at transition time.
     /// Executors always call this variant with the current round
-    /// graph's outdegree. The default ignores it and forwards to
+    /// graph's outdegree — the boxed [`Execution`](crate::Execution)
+    /// through [`Isotropic`], and the flat
+    /// [`FlatExecution`](crate::FlatExecution) directly on the
+    /// [`IsotropicAlgorithm`]. The default ignores it and forwards to
     /// [`Algorithm::transition`], so existing algorithms are
     /// unaffected; quantized algorithms with a residual carry
     /// (`kya_algos::quantized`) override it to recompute the shares
@@ -153,7 +156,9 @@ pub trait IsotropicAlgorithm {
     /// Transition additionally told the round's outdegree (see
     /// [`Algorithm::transition_with_outdegree`]): legitimate in this
     /// model because the sending function `σ: Q x ℕ -> M` already
-    /// observes it. Defaults to ignoring the outdegree.
+    /// observes it. Defaults to ignoring the outdegree. Both engines
+    /// call this, never [`IsotropicAlgorithm::transition`] directly, so
+    /// an override is all a residual-carry algorithm needs on either.
     fn transition_with_outdegree(
         &self,
         state: &Self::State,

@@ -5,35 +5,43 @@
 //! `Vec<Vec<A::Msg>>` of inboxes every round and re-derives the
 //! canonical delivery order by sorting; that tops out around 10^3–10^4
 //! agents. [`FlatExecution`] rebuilds the round loop from the ground up
-//! for f64 algorithms on **static** graphs:
+//! for fixed-width f64 algorithms on **static** graphs:
 //!
-//! - **State** lives in `STATE_LANES` parallel `Vec<f64>` columns (one
-//!   entry per agent) — no boxed automata, no per-agent allocation.
+//! - **State** lives in [`Lanes::LANES`] parallel `Vec<f64>` columns
+//!   (one entry per agent) — no boxed automata, no per-agent
+//!   allocation. Each agent's state is loaded from its lanes, handed to
+//!   the algorithm, and the next state stored back.
 //! - **Routing** is frozen at construction into a
 //!   [`RoutingPlan`](kya_graph::RoutingPlan): per-edge send slots in
 //!   port-rank order plus per-destination inbox offsets sorted once
 //!   into the canonical ascending `(source id, port rank)` order. A
 //!   round's routing is then a pure gather,
 //!   `arena[slot] = send_buf[gather[slot]]`.
-//! - **Messages** are written into a single reusable flat arena indexed
-//!   by those offsets; after the first round the executor allocates
-//!   nothing.
+//! - **Messages** are the algorithm's own typed `Msg` values, written
+//!   into a single reusable arena indexed by those offsets; after the
+//!   first round the executor allocates nothing.
 //! - **Parallelism** shards both the send and the gather+transition
 //!   phases over contiguous agent ranges (crossbeam scope, split
 //!   mutable slices — no unsafe). Every slot is statically assigned,
 //!   so parallel runs are **bitwise identical** to sequential ones at
-//!   any thread count (`kya check` oracle `flat`, and the proptest in
-//!   `tests/flat_equivalence.rs`, pin this against the boxed path).
+//!   any thread count.
 //!
-//! The price is genericity: a [`FlatAlgorithm`] is isotropic (one
-//! message per round, replicated to every port) with fixed-width f64
-//! state and message vectors. Push-Sum and Metropolis — the paper's
-//! quantitative workhorses — fit exactly; `kya-algos` implements both.
+//! There is no separate flat form of an algorithm: a [`FlatAlgorithm`]
+//! is any [`IsotropicAlgorithm`] with an f64 output, a [`Lanes`] state
+//! and a `Copy` message, and the engine calls the very
+//! [`IsotropicAlgorithm::message`] and
+//! [`IsotropicAlgorithm::transition_with_outdegree`] the boxed
+//! executor calls, on the inbox in the same canonical order. Flat and
+//! boxed runs therefore agree bit for bit by construction (`kya check`
+//! oracle `flat`, and the proptest in `tests/flat_equivalence.rs`, pin
+//! this). Push-Sum and Metropolis — the paper's quantitative workhorses
+//! — and their quantized variants all qualify.
 
 use kya_graph::{Digraph, RoutingPlan};
 use std::ops::Range;
 use std::time::Instant;
 
+use crate::algorithm::IsotropicAlgorithm;
 use crate::config::FlatRunConfig;
 use crate::execution::shard_ranges;
 use crate::faults::FaultEvents;
@@ -45,8 +53,8 @@ use crate::report::{CellReport, Trace};
 /// from `n` alone, so the sample set is independent of thread count.
 const LANE_SAMPLE_TARGET: usize = 64;
 
-/// Maximum number of f64 lanes a flat state or message may use; bounds
-/// the executor's stack scratch buffers.
+/// Maximum number of f64 lanes a flat state may use; bounds the
+/// executor's stack scratch buffers.
 pub const MAX_LANES: usize = 4;
 
 /// Largest structural degree a flat algorithm may carry in an f64 lane
@@ -74,9 +82,10 @@ impl std::error::Error for DegreeOverflow {}
 /// Convert a structural degree to its exact f64 representation, or fail
 /// when the integer would round.
 ///
-/// Flat algorithms that tag messages with degrees (Metropolis) store
-/// them in f64 lanes; a degree at or above `2^53` would silently round
-/// and corrupt the weight `1/(1 + max(d_i, d_j))`. [`FlatExecution::new`]
+/// Metropolis tags its messages with a `usize` degree, but
+/// `QuantizedMetropolis` (in `kya-algos`) carries the degree in an f64
+/// message lane; a degree at or above `2^53` would silently round and
+/// corrupt the weight `1/(1 + max(d_i, d_j))`. [`FlatExecution::new`]
 /// enforces this bound over the whole routing plan at construction, so
 /// inside a running flat algorithm `d as f64` is already exact.
 pub fn exact_degree(d: usize) -> Result<f64, DegreeOverflow> {
@@ -87,49 +96,80 @@ pub fn exact_degree(d: usize) -> Result<f64, DegreeOverflow> {
     }
 }
 
-/// An isotropic f64 algorithm in struct-of-arrays form, runnable by
-/// [`FlatExecution`].
+/// A fixed-width state the flat engine keeps as `LANES` f64 columns.
 ///
-/// Semantics mirror [`IsotropicAlgorithm`](crate::IsotropicAlgorithm):
-/// one message per round computed from the state and the outdegree,
-/// replicated to every output port; the transition folds the inbox —
-/// delivered in the canonical `(source id, port rank)` order — into the
-/// next state. To stay bitwise identical to a boxed twin, perform the
-/// same floating-point operations in the same order (the inbox arrives
-/// as `MSG_LANES`-sized chunks in exactly the boxed delivery order).
-pub trait FlatAlgorithm: Sync {
-    /// Number of f64 lanes per agent state (1..=[`MAX_LANES`]).
-    const STATE_LANES: usize;
-    /// Number of f64 lanes per message (1..=[`MAX_LANES`]).
-    const MSG_LANES: usize;
+/// `load` and `store` must round-trip bit for bit: the engine stores
+/// every next state and loads it back the following round.
+pub trait Lanes: Sized {
+    /// Number of f64 lanes per state (1..=[`MAX_LANES`]).
+    const LANES: usize;
 
-    /// Compute the round's message from `state` (`STATE_LANES` lanes)
-    /// into `msg` (`MSG_LANES` lanes), given the sender's outdegree.
-    fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]);
+    /// The state held in `lanes` (`LANES` entries).
+    fn load(lanes: &[f64]) -> Self;
 
-    /// Fold `inbox` (`indegree × MSG_LANES` lanes, canonical delivery
-    /// order) into `next` (`STATE_LANES` lanes).
-    fn transition(&self, state: &[f64], inbox: &[f64], next: &mut [f64]);
+    /// Write the state into `lanes` (`LANES` entries).
+    fn store(&self, lanes: &mut [f64]);
+}
 
-    /// [`FlatAlgorithm::transition`], additionally told the agent's own
-    /// outdegree — the flat spelling of
-    /// [`Algorithm::transition_with_outdegree`](crate::Algorithm::transition_with_outdegree).
-    /// The executor always calls this variant with the routing plan's
-    /// outdegree; the default ignores it, so plain flat algorithms are
-    /// unaffected while quantized residual-carry algorithms override.
-    fn transition_with_outdegree(
-        &self,
-        state: &[f64],
-        outdegree: usize,
-        inbox: &[f64],
-        next: &mut [f64],
-    ) {
-        let _ = outdegree;
-        self.transition(state, inbox, next);
+impl Lanes for f64 {
+    const LANES: usize = 1;
+
+    fn load(lanes: &[f64]) -> f64 {
+        lanes[0]
     }
 
-    /// Project an agent's output from its state lanes.
-    fn output(&self, state: &[f64]) -> f64;
+    fn store(&self, lanes: &mut [f64]) {
+        lanes[0] = *self;
+    }
+}
+
+/// Struct-of-arrays state columns for [`FlatExecution::new`]: column
+/// `l` holds lane `l` of every state.
+pub fn lane_columns<S: Lanes>(states: &[S]) -> Vec<Vec<f64>> {
+    let mut cols = vec![Vec::with_capacity(states.len()); S::LANES];
+    let mut lanes = [0.0f64; MAX_LANES];
+    for s in states {
+        s.store(&mut lanes[..S::LANES]);
+        for (col, &x) in cols.iter_mut().zip(&lanes) {
+            col.push(x);
+        }
+    }
+    cols
+}
+
+/// An [`IsotropicAlgorithm`] the flat engine can run: f64 output, a
+/// [`Lanes`] state and a `Copy` message.
+///
+/// The trait has no methods and one blanket impl — there is nothing to
+/// write by hand. The bounds sit on the supertrait, so `A:
+/// FlatAlgorithm` alone implies them.
+pub trait FlatAlgorithm:
+    IsotropicAlgorithm<State: Lanes + Send + Sync, Msg: Copy + Default + Send + Sync, Output = f64>
+    + Sync
+{
+}
+
+impl<A> FlatAlgorithm for A where
+    A: IsotropicAlgorithm<
+            State: Lanes + Send + Sync,
+            Msg: Copy + Default + Send + Sync,
+            Output = f64,
+        > + Sync
+{
+}
+
+/// Agent `v`'s state, loaded from the state columns.
+fn load<S: Lanes>(cols: &[Vec<f64>], v: usize) -> S {
+    let mut lanes = [0.0f64; MAX_LANES];
+    for (l, col) in cols.iter().enumerate() {
+        lanes[l] = col[v];
+    }
+    S::load(&lanes[..S::LANES])
+}
+
+/// f64-sized lanes of one message, for the probe's lane-write counter.
+fn msg_lanes<A: FlatAlgorithm>() -> u64 {
+    (std::mem::size_of::<A::Msg>() / std::mem::size_of::<f64>()) as u64
 }
 
 /// A flat execution: SoA state columns plus one CSR-routed message
@@ -142,31 +182,26 @@ pub struct FlatExecution<A: FlatAlgorithm> {
     plan: RoutingPlan,
     cols: Vec<Vec<f64>>,
     next: Vec<Vec<f64>>,
-    send_buf: Vec<f64>,
-    arena: Vec<f64>,
+    send_buf: Vec<A::Msg>,
+    arena: Vec<A::Msg>,
 }
 
 impl<A: FlatAlgorithm> FlatExecution<A> {
     /// Build a flat execution of `algo` on the **static** graph `graph`
-    /// from the given state columns (`STATE_LANES` columns of one entry
-    /// per agent).
+    /// from the given state columns ([`Lanes::LANES`] columns of one
+    /// entry per agent; [`lane_columns`] builds them from states).
     ///
     /// # Panics
     ///
-    /// Panics if the column count or a column length mismatches, a lane
-    /// count is zero or exceeds [`MAX_LANES`], a vertex lacks a
-    /// self-loop (§2.1), or a degree exceeds [`MAX_EXACT_DEGREE`] (the
-    /// [`exact_degree`] precondition of degree-tagged algorithms).
+    /// Panics if the state's lane count is zero or exceeds
+    /// [`MAX_LANES`], the column count or a column length mismatches, a
+    /// vertex lacks a self-loop (§2.1), or a degree exceeds
+    /// [`MAX_EXACT_DEGREE`] (the [`exact_degree`] precondition of
+    /// degree-tagged algorithms).
     pub fn new(algo: A, graph: &Digraph, columns: Vec<Vec<f64>>) -> FlatExecution<A> {
-        assert!(
-            (1..=MAX_LANES).contains(&A::STATE_LANES),
-            "STATE_LANES out of range"
-        );
-        assert!(
-            (1..=MAX_LANES).contains(&A::MSG_LANES),
-            "MSG_LANES out of range"
-        );
-        assert_eq!(columns.len(), A::STATE_LANES, "one column per state lane");
+        let lanes = <A::State as Lanes>::LANES;
+        assert!((1..=MAX_LANES).contains(&lanes), "LANES out of range");
+        assert_eq!(columns.len(), lanes, "one column per state lane");
         let n = graph.n();
         for col in &columns {
             assert_eq!(col.len(), n, "column length != agent count");
@@ -188,8 +223,8 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
             plan,
             next: columns.clone(),
             cols: columns,
-            send_buf: vec![0.0; slots * A::MSG_LANES],
-            arena: vec![0.0; slots * A::MSG_LANES],
+            send_buf: vec![A::Msg::default(); slots],
+            arena: vec![A::Msg::default(); slots],
         }
     }
 
@@ -225,14 +260,8 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
 
     /// Current outputs, indexed by agent.
     pub fn outputs(&self) -> Vec<f64> {
-        let mut state = [0.0f64; MAX_LANES];
         (0..self.n)
-            .map(|v| {
-                for (l, col) in self.cols.iter().enumerate() {
-                    state[l] = col[v];
-                }
-                self.algo.output(&state[..A::STATE_LANES])
-            })
+            .map(|v| self.algo.output(&load(&self.cols, v)))
             .collect()
     }
 
@@ -245,10 +274,10 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
     /// against the 128–168 B/agent figures in EXPERIMENTS.md.
     pub fn resident_bytes(&self) -> usize {
         let f = std::mem::size_of::<f64>();
-        f * (self.send_buf.capacity()
-            + self.arena.capacity()
-            + self.cols.iter().map(Vec::capacity).sum::<usize>()
-            + self.next.iter().map(Vec::capacity).sum::<usize>())
+        let m = std::mem::size_of::<A::Msg>();
+        m * (self.send_buf.capacity() + self.arena.capacity())
+            + f * (self.cols.iter().map(Vec::capacity).sum::<usize>()
+                + self.next.iter().map(Vec::capacity).sum::<usize>())
             + self.plan.resident_bytes()
     }
 
@@ -259,7 +288,7 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
         if self.round == 0 {
             0
         } else {
-            std::mem::size_of::<f64>() * self.arena.len()
+            std::mem::size_of::<A::Msg>() * self.arena.len()
         }
     }
 
@@ -304,7 +333,6 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
         };
 
         let ranges = shard_ranges(self.n, threads);
-        let ml = A::MSG_LANES;
         let algo = &self.algo;
         let plan = &self.plan;
         let cols = &self.cols;
@@ -322,7 +350,7 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
                 &ranges[0],
             )]
         } else {
-            let parts = split_spans(&mut self.send_buf, &ranges, |v| plan.send_start(v) * ml);
+            let parts = split_spans(&mut self.send_buf, &ranges, |v| plan.send_start(v));
             let mut counters = Vec::new();
             crossbeam::scope(|scope| {
                 let handles: Vec<_> = ranges
@@ -360,12 +388,11 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
                     &ranges[0],
                 )]
             } else {
-                let arena_parts =
-                    split_spans(&mut self.arena, &ranges, |v| plan.inbox_start(v) * ml);
+                let arena_parts = split_spans(&mut self.arena, &ranges, |v| plan.inbox_start(v));
                 // Per-shard bundles of (arena span, one span per next column).
-                let mut bundles: Vec<(&mut [f64], Vec<&mut [f64]>)> = arena_parts
+                let mut bundles: Vec<_> = arena_parts
                     .into_iter()
-                    .map(|a| (a, Vec::with_capacity(A::STATE_LANES)))
+                    .map(|a| (a, Vec::with_capacity(self.next.len())))
                     .collect();
                 for col in self.next.iter_mut() {
                     for (part, bundle) in split_spans(col, &ranges, |v| v)
@@ -500,11 +527,11 @@ fn lap(mark: &mut Option<Instant>, slot: &mut u64) {
 /// `buf[offset(r.start)..offset(r.end)]`. `offset` must be monotone
 /// with `offset(0) == 0` and `offset(n)` == `buf.len()` over the
 /// ranges' union — which shard layouts from [`shard_ranges`] guarantee.
-fn split_spans<'b>(
-    buf: &'b mut [f64],
+fn split_spans<'b, T>(
+    buf: &'b mut [T],
     ranges: &[Range<usize>],
     offset: impl Fn(usize) -> usize,
-) -> Vec<&'b mut [f64]> {
+) -> Vec<&'b mut [T]> {
     let mut parts = Vec::with_capacity(ranges.len());
     let mut rest = buf;
     let mut consumed = 0;
@@ -528,18 +555,15 @@ fn send_range<A: FlatAlgorithm, P: FlatProbe>(
     algo: &A,
     plan: &RoutingPlan,
     cols: &[Vec<f64>],
-    out: &mut [f64],
+    out: &mut [A::Msg],
     range: &Range<usize>,
 ) -> ShardCounters {
-    let ml = A::MSG_LANES;
     let base = plan.send_start(range.start);
-    let mut state = [0.0f64; MAX_LANES];
-    let mut msg = [0.0f64; MAX_LANES];
     let mut counters = ShardCounters::default();
     if P::ENABLED {
         counters.agents = range.len() as u64;
         counters.messages_routed = plan.send_slots_in(range.clone()) as u64;
-        counters.lane_writes = counters.messages_routed * ml as u64;
+        counters.lane_writes = counters.messages_routed * msg_lanes::<A>();
     }
     for v in range.clone() {
         let slots = plan.send_range(v);
@@ -547,14 +571,8 @@ fn send_range<A: FlatAlgorithm, P: FlatProbe>(
         if outdeg == 0 {
             continue;
         }
-        for (l, col) in cols.iter().enumerate() {
-            state[l] = col[v];
-        }
-        algo.message(&state[..A::STATE_LANES], outdeg, &mut msg[..ml]);
-        let first = (slots.start - base) * ml;
-        for chunk in out[first..first + outdeg * ml].chunks_exact_mut(ml) {
-            chunk.copy_from_slice(&msg[..ml]);
-        }
+        let msg = algo.message(&load(cols, v), outdeg);
+        out[slots.start - base..slots.end - base].fill(msg);
     }
     counters
 }
@@ -568,43 +586,32 @@ fn gather_transition_range<A: FlatAlgorithm, P: FlatProbe>(
     algo: &A,
     plan: &RoutingPlan,
     cols: &[Vec<f64>],
-    send_buf: &[f64],
-    arena: &mut [f64],
+    send_buf: &[A::Msg],
+    arena: &mut [A::Msg],
     next: &mut [&mut [f64]],
     range: &Range<usize>,
 ) -> ShardCounters {
-    let ml = A::MSG_LANES;
+    let lanes = <A::State as Lanes>::LANES;
     let mut counters = ShardCounters::default();
     if P::ENABLED {
         let slots = plan.inbox_slots_in(range.clone()) as u64;
         counters.agents = range.len() as u64;
         counters.messages_routed = slots;
         // Gathered lanes plus the per-agent next-state writes.
-        counters.lane_writes = slots * ml as u64 + (range.len() * A::STATE_LANES) as u64;
-        counters.arena_bytes = slots * (ml * std::mem::size_of::<f64>()) as u64;
+        counters.lane_writes = slots * msg_lanes::<A>() + (range.len() * lanes) as u64;
+        counters.arena_bytes = slots * std::mem::size_of::<A::Msg>() as u64;
     }
     let base = plan.inbox_start(range.start);
     let gather = plan.gather();
-    let mut state = [0.0f64; MAX_LANES];
     let mut out = [0.0f64; MAX_LANES];
     for v in range.clone() {
         let slots = plan.inbox_range(v);
-        let local = (slots.start - base) * ml..(slots.end - base) * ml;
-        {
-            let inbox = &mut arena[local.clone()];
-            for (&slot, chunk) in gather[slots.clone()].iter().zip(inbox.chunks_exact_mut(ml)) {
-                chunk.copy_from_slice(&send_buf[slot * ml..(slot + 1) * ml]);
-            }
+        let inbox = &mut arena[slots.start - base..slots.end - base];
+        for (&slot, m) in gather[slots].iter().zip(inbox.iter_mut()) {
+            *m = send_buf[slot];
         }
-        for (l, col) in cols.iter().enumerate() {
-            state[l] = col[v];
-        }
-        algo.transition_with_outdegree(
-            &state[..A::STATE_LANES],
-            plan.outdegree(v),
-            &arena[local],
-            &mut out[..A::STATE_LANES],
-        );
+        algo.transition_with_outdegree(&load(cols, v), plan.outdegree(v), inbox)
+            .store(&mut out[..lanes]);
         for (l, col) in next.iter_mut().enumerate() {
             col[v - range.start] = out[l];
         }
@@ -617,20 +624,22 @@ mod tests {
     use super::*;
     use kya_graph::generators;
 
-    /// Order-sensitive f64 fold: sums the first message lane in
-    /// delivery order — any inbox reordering changes the rounding.
+    /// Order-sensitive f64 fold: sums the inbox in delivery order —
+    /// any inbox reordering changes the rounding.
+    #[derive(Clone)]
     struct OrderSum;
-    impl FlatAlgorithm for OrderSum {
-        const STATE_LANES: usize = 1;
-        const MSG_LANES: usize = 1;
-        fn message(&self, state: &[f64], _outdegree: usize, msg: &mut [f64]) {
-            msg[0] = state[0];
+    impl IsotropicAlgorithm for OrderSum {
+        type State = f64;
+        type Msg = f64;
+        type Output = f64;
+        fn message(&self, state: &f64, _outdegree: usize) -> f64 {
+            *state
         }
-        fn transition(&self, _state: &[f64], inbox: &[f64], next: &mut [f64]) {
-            next[0] = inbox.iter().fold(0.0, |acc, m| acc + m);
+        fn transition(&self, _state: &f64, inbox: &[f64]) -> f64 {
+            inbox.iter().fold(0.0, |acc, m| acc + m)
         }
-        fn output(&self, state: &[f64]) -> f64 {
-            state[0]
+        fn output(&self, state: &f64) -> f64 {
+            *state
         }
     }
 
@@ -665,29 +674,11 @@ mod tests {
 
     #[test]
     fn matches_boxed_executor_on_order_sensitive_sums() {
-        use crate::algorithm::{Broadcast, BroadcastAlgorithm};
-        use crate::Execution;
-
-        #[derive(Clone)]
-        struct BoxedOrderSum;
-        impl BroadcastAlgorithm for BoxedOrderSum {
-            type State = f64;
-            type Msg = f64;
-            type Output = f64;
-            fn message(&self, s: &f64) -> f64 {
-                *s
-            }
-            fn transition(&self, _: &f64, inbox: &[f64]) -> f64 {
-                inbox.iter().fold(0.0, |acc, m| acc + m)
-            }
-            fn output(&self, s: &f64) -> f64 {
-                *s
-            }
-        }
+        use crate::{Execution, Isotropic};
 
         let g = in_star(6);
         let inits = vec![1e16, 3.0, 1e-7, 2.0, 1e7, 1.0];
-        let mut boxed = Execution::new(Broadcast(BoxedOrderSum), inits.clone());
+        let mut boxed = Execution::new(Isotropic(OrderSum), inits.clone());
         let mut flat = FlatExecution::new(OrderSum, &g, vec![inits]);
         for _ in 0..4 {
             boxed.step(&g);

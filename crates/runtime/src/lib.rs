@@ -76,7 +76,10 @@ pub use algorithm::{
 pub use bandwidth::{BandwidthCap, ByteLedger, MessageCodec};
 pub use config::{FlatRunConfig, RunConfig};
 pub use execution::Execution;
-pub use flat::{exact_degree, DegreeOverflow, FlatAlgorithm, FlatExecution, MAX_EXACT_DEGREE};
+pub use flat::{
+    exact_degree, lane_columns, DegreeOverflow, FlatAlgorithm, FlatExecution, Lanes,
+    MAX_EXACT_DEGREE,
+};
 pub use probe::{
     CountingProbe, FlatProbe, FlatProbeSummary, FlatRoundEvent, NullProbe, PhaseTimes,
     ShardCounters,

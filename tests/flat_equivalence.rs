@@ -135,7 +135,7 @@ proptest! {
         boxed.drive(&kya_graph::StaticGraph::new(g.clone()), RunConfig::rounds(rounds));
 
         for threads in [1usize, 2, 4] {
-            let mut flat = FlatExecution::new(algo, &g, QuantizedMetropolis::columns(&states));
+            let mut flat = FlatExecution::new(algo, &g, vec![states.clone()]);
             flat.run(rounds, threads);
             for (v, s) in boxed.states().iter().enumerate() {
                 prop_assert_eq!(
