@@ -367,7 +367,7 @@ fn check_flat(ctx: &CellCtx) -> CellOutcome {
 /// the bit-exact strided sample digests — are **byte-identical**, then
 /// check the counters against the routing plan's ground truth: every
 /// round delivers exactly `plan.slots()` messages and touches exactly
-/// `slots × size_of::<Msg>()` arena bytes. Returns the fingerprint of the
+/// `slots × size_of::<Msg>()` inbox bytes. Returns the fingerprint of the
 /// (shared) stream.
 fn probe_streams_agree<F: FlatAlgorithm + Clone>(
     flat: F,

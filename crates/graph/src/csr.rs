@@ -5,20 +5,21 @@
 //! `(source id, port rank)` order. The boxed executors re-derive that
 //! order every round by sorting per-destination message lists; a
 //! [`RoutingPlan`] instead sorts **once** at construction and records,
-//! for every inbox slot, which send slot feeds it. A round of routing
-//! then degenerates to a gather: `arena[slot] = send_buf[gather[slot]]`,
+//! for every inbox slot, the agent that feeds it. Isotropic agents send
+//! one message on every port, so a round of routing degenerates to a
+//! gather from a per-agent message buffer, `inbox[s] = msgs[gather[s]]`,
 //! with zero comparisons, zero allocation, and a layout that shards over
 //! contiguous vertex ranges — the backbone of the flat executor's
 //! million-agent hot path.
 //!
-//! Layout (all offsets in *message slots*, not bytes):
+//! Layout (all offsets in *message slots*, one slot per edge):
 //!
-//! - `send_start[v]..send_start[v + 1]` — the send slots of vertex `v`,
-//!   one per out-edge, ordered by port rank. The slot of edge `e` is
-//!   `send_start[src(e)] + rank(e)`.
-//! - `inbox_start[v]..inbox_start[v + 1]` — the arena slots of `v`'s
-//!   inbox, in canonical `(source id, port rank)` order.
-//! - `gather[s]` — for each arena slot `s`, the send slot that feeds it.
+//! - `send_start[v]..send_start[v + 1]` — the out-edges of vertex `v`,
+//!   whose length is `v`'s outdegree.
+//! - `inbox_start[v]..inbox_start[v + 1]` — the inbox slots of `v`, in
+//!   canonical `(source id, port rank)` order.
+//! - `gather[s]` — for each inbox slot `s`, its source agent. Parallel
+//!   edges repeat their source once per edge.
 
 use crate::digraph::{Digraph, Vertex};
 use std::ops::Range;
@@ -37,7 +38,6 @@ impl RoutingPlan {
     /// Freeze the canonical routing of `g` into a gather plan.
     pub fn new(g: &Digraph) -> RoutingPlan {
         let n = g.n();
-        let order = g.port_ranks();
         let mut send_start = Vec::with_capacity(n + 1);
         send_start.push(0usize);
         for v in 0..n {
@@ -50,18 +50,13 @@ impl RoutingPlan {
         }
         let edges = g.edges();
         let mut gather = Vec::with_capacity(g.edge_count());
-        let mut incoming: Vec<(Vertex, u32)> = Vec::new();
         for v in 0..n {
-            incoming.clear();
-            incoming.extend(g.in_edges(v).map(|e| (edges[e].src, order.rank(e))));
-            // (src, rank) is unique per in-edge, so the sort is total and
-            // the slot order is exactly the executors' delivery order.
-            incoming.sort_unstable();
-            gather.extend(
-                incoming
-                    .iter()
-                    .map(|&(src, rank)| send_start[src] + rank as usize),
-            );
+            let inbox = gather.len();
+            gather.extend(g.in_edges(v).map(|e| edges[e].src));
+            // Parallel edges from one source carry the same message, so
+            // sorting by source alone yields exactly the messages of the
+            // canonical `(source id, port rank)` order.
+            gather[inbox..].sort_unstable();
         }
         RoutingPlan {
             n,
@@ -81,32 +76,17 @@ impl RoutingPlan {
         self.gather.len()
     }
 
-    /// First send slot of vertex `v` (`v == n()` gives the total).
-    pub fn send_start(&self, v: Vertex) -> usize {
-        self.send_start[v]
-    }
-
-    /// The send slots of vertex `v`, one per out-edge in rank order.
-    pub fn send_range(&self, v: Vertex) -> Range<usize> {
-        self.send_start[v]..self.send_start[v + 1]
-    }
-
-    /// First inbox slot of vertex `v` (`v == n()` gives the total).
-    pub fn inbox_start(&self, v: Vertex) -> usize {
-        self.inbox_start[v]
-    }
-
-    /// The arena slots of vertex `v`'s inbox, in canonical order.
+    /// The inbox slots of vertex `v`, in canonical order.
     pub fn inbox_range(&self, v: Vertex) -> Range<usize> {
         self.inbox_start[v]..self.inbox_start[v + 1]
     }
 
-    /// For each arena slot, the send slot that feeds it.
+    /// For each inbox slot, the source agent that feeds it.
     pub fn gather(&self) -> &[usize] {
         &self.gather
     }
 
-    /// Out-degree of vertex `v` under the plan (= its send-slot count).
+    /// Out-degree of vertex `v` under the plan.
     pub fn outdegree(&self, v: Vertex) -> usize {
         self.send_start[v + 1] - self.send_start[v]
     }
@@ -116,9 +96,9 @@ impl RoutingPlan {
         self.inbox_start[v + 1] - self.inbox_start[v]
     }
 
-    /// Send slots owned by the contiguous vertex range — the shard
+    /// Out-edges owned by the contiguous vertex range — the shard
     /// accounting behind the flat executor's per-shard probe counters
-    /// (a shard routes exactly this many messages in phase 1).
+    /// (a shard's sources feed exactly this many slots in phase 1).
     pub fn send_slots_in(&self, range: Range<Vertex>) -> usize {
         self.send_start[range.end] - self.send_start[range.start]
     }
@@ -154,26 +134,12 @@ mod tests {
         assert_eq!(plan.slots(), g.edge_count());
         // Hub inbox: sources 0 (self-loop), 1, 2, 3 in ascending order
         // regardless of edge insertion order.
+        assert_eq!(&plan.gather()[plan.inbox_range(0)], &[0, 1, 2, 3]);
+        // Every in-edge of every vertex is fed by its own source.
         let edges = g.edges();
-        let hub: Vec<usize> = plan.inbox_range(0).collect();
-        let sources: Vec<usize> = hub
-            .iter()
-            .map(|&slot| {
-                let send = plan.gather()[slot];
-                (0..4)
-                    .find(|&v| plan.send_range(v).contains(&send))
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(sources, vec![0, 1, 2, 3]);
-        // Every in-edge of every vertex is fed by its own source's slot.
         for v in 0..4 {
             assert_eq!(plan.inbox_range(v).len(), g.indegree(v));
-            for slot in plan.inbox_range(v) {
-                let send = plan.gather()[slot];
-                let src = (0..4)
-                    .find(|&u| plan.send_range(u).contains(&send))
-                    .unwrap();
+            for &src in &plan.gather()[plan.inbox_range(v)] {
                 assert!(edges.iter().any(|e| e.src == src && e.dst == v));
             }
         }
@@ -191,7 +157,7 @@ mod tests {
         for v in 0..5 {
             assert_eq!(plan.outdegree(v), g.outdegree(v));
             assert_eq!(plan.indegree(v), g.indegree(v));
-            assert_eq!(plan.send_slots_in(v..v + 1), plan.send_range(v).len());
+            assert_eq!(plan.send_slots_in(v..v + 1), plan.outdegree(v));
             assert_eq!(plan.inbox_slots_in(v..v + 1), plan.inbox_range(v).len());
         }
         // Any split of 0..n partitions the slot total exactly.
@@ -216,9 +182,9 @@ mod tests {
         g.add_edge(0, 0);
         g.add_edge(1, 1);
         let plan = RoutingPlan::new(&g);
-        // Vertex 1's inbox: the two parallel 0->1 edges in rank order
-        // (ranks 0 and 1 = send slots 0 and 1), then the self-loop.
-        let fed: Vec<usize> = plan.inbox_range(1).map(|s| plan.gather()[s]).collect();
-        assert_eq!(fed, vec![0, 1, plan.send_start(1)]);
+        // Vertex 1's inbox: one slot per parallel 0->1 edge, each fed by
+        // source 0, then the self-loop.
+        assert_eq!(&plan.gather()[plan.inbox_range(1)], &[0, 0, 1]);
+        assert_eq!(plan.outdegree(0), 3);
     }
 }

@@ -1,14 +1,17 @@
-//! Property test over the graph and value spec grammars: every spec
-//! either parses to what it names or is a typed [`SpecError`] — never a
-//! panic, an abort or a hang.
+//! Property test over the graph, value and churn-label spec grammars:
+//! every spec either parses to what it names or is a typed
+//! [`SpecError`] — never a panic, an abort or a hang.
 //!
 //! Graph specs cover every family with small parameters, zeros and
 //! over-capacity `EXTRA` counts included; a parsed graph must have the
 //! agent count the spec names, and `random`/`randbi` graphs the edge
 //! count too. Value lists mix plain values, small `VxK` repeats and
-//! repeat counts past [`GRAPH_BUDGET`].
+//! repeat counts past [`GRAPH_BUDGET`]. Churn labels are random window
+//! lists (rejoining or departing, carry or `+reset`) that must survive
+//! a label round trip, and the same labels broken in one place, which
+//! must fail typed.
 
-use kya_harness::spec::{parse_graph, parse_values, SpecError, GRAPH_BUDGET};
+use kya_harness::spec::{parse_graph, parse_values, ChurnSpec, SpecError, GRAPH_BUDGET};
 use proptest::prelude::*;
 
 /// A graph spec built from family index `family` and small parameters,
@@ -70,8 +73,86 @@ fn value_item(kind: usize, v: u64, k: usize, big: usize) -> (String, u128) {
     }
 }
 
+/// Random churn windows `(agent, leave, rejoin)`; a `None` rejoin
+/// departs for good.
+fn churn_windows(
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<(usize, u64, Option<u64>)>> {
+    let rejoin = (0u64..1000, any::<bool>()).prop_map(|(r, back)| back.then_some(r));
+    collection::vec((0usize..100, 0u64..1000, rejoin), len)
+}
+
+/// A churn template from `(agent, leave, rejoin)` windows (`None`
+/// departs for good), under the reset policy when `reset`.
+fn churn_spec(windows: &[(usize, u64, Option<u64>)], reset: bool) -> ChurnSpec {
+    let mut spec = ChurnSpec::stable();
+    for &(agent, leave, rejoin) in windows {
+        spec = match rejoin {
+            Some(rejoin) => spec.leave(agent, leave..rejoin),
+            None => spec.depart(agent, leave),
+        };
+    }
+    if reset {
+        spec.reset()
+    } else {
+        spec
+    }
+}
+
+/// The churn label of `windows` broken in one of six ways, picked by
+/// `how`, at window `at`: a missing field, a non-numeric round, an
+/// empty body `c`, a trailing comma, `stable+reset`, an extra field.
+fn malformed_churn_label(windows: &[(usize, u64, Option<u64>)], how: usize, at: usize) -> String {
+    const JUNK: [&str; 4] = ["x", "", "1.5", "-3"];
+    let label = churn_spec(windows, false).label();
+    let mut parts: Vec<String> = label[1..].split(',').map(str::to_string).collect();
+    let at = at % parts.len();
+    let (agent, leave, _) = windows[at];
+    match how {
+        0 => parts[at] = format!("{agent}:{leave}"),
+        1 => parts[at] = format!("{agent}:{}:-", JUNK[leave as usize % JUNK.len()]),
+        2 => return "c".to_string(),
+        3 => parts.push(String::new()),
+        4 => return "stable+reset".to_string(),
+        _ => parts[at].push_str(":7"),
+    }
+    format!("c{}", parts.join(","))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn churn_labels_round_trip(
+        windows in churn_windows(0..5),
+        reset in any::<bool>(),
+    ) {
+        let spec = churn_spec(&windows, reset);
+        let label = spec.label();
+        let parsed = ChurnSpec::parse(&label);
+        prop_assert!(parsed.is_ok(), "`{}`: {:?}", label, parsed);
+        let parsed = parsed.unwrap();
+        prop_assert_eq!(parsed.label(), label);
+        // The policy rides only on a non-stable label.
+        if !windows.is_empty() {
+            prop_assert_eq!(parsed, spec);
+        }
+    }
+
+    #[test]
+    fn malformed_churn_labels_fail_typed(
+        windows in churn_windows(1..5),
+        how in 0usize..6,
+        at in 0usize..5,
+        reset in any::<bool>(),
+    ) {
+        let mut label = malformed_churn_label(&windows, how, at);
+        if reset && label != "stable+reset" {
+            label.push_str("+reset");
+        }
+        let parsed: Result<ChurnSpec, SpecError> = ChurnSpec::parse(&label);
+        prop_assert!(parsed.is_err(), "`{}` parsed to {:?}", label, parsed);
+    }
 
     #[test]
     fn graph_specs_parse_to_what_they_name_or_fail_typed(

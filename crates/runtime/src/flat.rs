@@ -11,18 +11,23 @@
 //!   (one entry per agent) — no boxed automata, no per-agent
 //!   allocation. Each agent's state is loaded from its lanes, handed to
 //!   the algorithm, and the next state stored back.
+//! - **Messages** are the algorithm's own typed `Msg` values, one per
+//!   **agent**: an isotropic agent sends the same message on every
+//!   port (§2.2), so the send phase writes `send_buf[v]` once and
+//!   never replicates it per out-edge.
 //! - **Routing** is frozen at construction into a
-//!   [`RoutingPlan`](kya_graph::RoutingPlan): per-edge send slots in
-//!   port-rank order plus per-destination inbox offsets sorted once
-//!   into the canonical ascending `(source id, port rank)` order. A
-//!   round's routing is then a pure gather,
-//!   `arena[slot] = send_buf[gather[slot]]`.
-//! - **Messages** are the algorithm's own typed `Msg` values, written
-//!   into a single reusable arena indexed by those offsets; after the
-//!   first round the executor allocates nothing.
+//!   [`RoutingPlan`](kya_graph::RoutingPlan): per-destination inbox
+//!   slots sorted once into the canonical ascending `(source id, port
+//!   rank)` order, each naming its source agent. A round's routing is
+//!   then a pure gather of `send_buf[gather[slot]]` over an agent's
+//!   inbox slots into a small per-shard scratch (a stack buffer, or a
+//!   `max_indegree`-message heap buffer kept by the executor when some
+//!   inbox is larger), handed straight to the transition. After the
+//!   first round at a given thread count the executor allocates
+//!   nothing.
 //! - **Parallelism** shards both the send and the gather+transition
 //!   phases over contiguous agent ranges (crossbeam scope, split
-//!   mutable slices — no unsafe). Every slot is statically assigned,
+//!   mutable slices — no unsafe). Every agent is statically assigned,
 //!   so parallel runs are **bitwise identical** to sequential ones at
 //!   any thread count.
 //!
@@ -56,6 +61,11 @@ const LANE_SAMPLE_TARGET: usize = 64;
 /// Maximum number of f64 lanes a flat state may use; bounds the
 /// executor's stack scratch buffers.
 pub const MAX_LANES: usize = 4;
+
+/// Inboxes of at most this many messages are gathered into a stack
+/// buffer; a larger maximum in-degree gives every shard a heap scratch
+/// of `max_indegree` messages instead.
+const INLINE_INBOX: usize = 32;
 
 /// Largest structural degree a flat algorithm may carry in an f64 lane
 /// without rounding: every integer up to `2^53 - 1` is exactly
@@ -172,9 +182,10 @@ fn msg_lanes<A: FlatAlgorithm>() -> u64 {
     (std::mem::size_of::<A::Msg>() / std::mem::size_of::<f64>()) as u64
 }
 
-/// A flat execution: SoA state columns plus one CSR-routed message
-/// arena, stepped in place with zero per-round allocation. See the
-/// module docs for the layout and determinism contract.
+/// A flat execution: SoA state columns plus one message per agent,
+/// gathered into inboxes through a CSR routing plan and stepped in
+/// place with zero per-round allocation. See the module docs for the
+/// layout and determinism contract.
 pub struct FlatExecution<A: FlatAlgorithm> {
     algo: A,
     n: usize,
@@ -183,7 +194,12 @@ pub struct FlatExecution<A: FlatAlgorithm> {
     cols: Vec<Vec<f64>>,
     next: Vec<Vec<f64>>,
     send_buf: Vec<A::Msg>,
-    arena: Vec<A::Msg>,
+    /// Per-shard inbox scratch, grown when the shard count rises; each
+    /// entry holds `scratch_len` messages.
+    scratch: Vec<Vec<A::Msg>>,
+    /// The maximum in-degree when it exceeds [`INLINE_INBOX`], else 0
+    /// (every inbox fits the stack buffer).
+    scratch_len: usize,
 }
 
 impl<A: FlatAlgorithm> FlatExecution<A> {
@@ -215,7 +231,12 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
                 panic!("vertex {v}: {e}");
             }
         }
-        let slots = plan.slots();
+        let max_indegree = (0..n).map(|v| plan.indegree(v)).max().unwrap_or(0);
+        let scratch_len = if max_indegree > INLINE_INBOX {
+            max_indegree
+        } else {
+            0
+        };
         FlatExecution {
             algo,
             n,
@@ -223,8 +244,9 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
             plan,
             next: columns.clone(),
             cols: columns,
-            send_buf: vec![A::Msg::default(); slots],
-            arena: vec![A::Msg::default(); slots],
+            send_buf: vec![A::Msg::default(); n],
+            scratch: Vec::new(),
+            scratch_len,
         }
     }
 
@@ -266,29 +288,29 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
     }
 
     /// Resident buffer bytes — the flat engine's whole per-run
-    /// footprint after warm-up: state columns and their double-buffer,
-    /// the send buffer, the full message arena (its high-water mark:
-    /// every inbox slot is re-gathered each round), and the routing
-    /// plan's offset arrays. Measured over *capacities*, so it is what
-    /// the allocator actually holds. `tests/flat_probe.rs` pins this
-    /// against the 128–168 B/agent figures in EXPERIMENTS.md.
+    /// footprint: state columns and their double-buffer, the per-agent
+    /// send buffer, the per-shard inbox scratch (grown by the first
+    /// round at a new, higher thread count, and empty while every inbox
+    /// fits the stack buffer), and the routing plan's offset arrays.
+    /// Measured over *capacities*, so it is what the allocator actually
+    /// holds. `tests/flat_probe.rs` pins the exact figures.
     pub fn resident_bytes(&self) -> usize {
         let f = std::mem::size_of::<f64>();
         let m = std::mem::size_of::<A::Msg>();
-        m * (self.send_buf.capacity() + self.arena.capacity())
+        m * (self.send_buf.capacity() + self.scratch.iter().map(Vec::capacity).sum::<usize>())
             + f * (self.cols.iter().map(Vec::capacity).sum::<usize>()
                 + self.next.iter().map(Vec::capacity).sum::<usize>())
             + self.plan.resident_bytes()
     }
 
-    /// High-water mark of message-arena bytes touched by any executed
-    /// round — zero before the first round, then the full arena (every
-    /// inbox slot is re-gathered each round).
+    /// High-water mark of message bytes gathered into inboxes by any
+    /// executed round — zero before the first round, then one message
+    /// per inbox slot (every slot is re-gathered each round).
     pub fn arena_high_water(&self) -> usize {
         if self.round == 0 {
             0
         } else {
-            std::mem::size_of::<A::Msg>() * self.arena.len()
+            std::mem::size_of::<A::Msg>() * self.plan.slots()
         }
     }
 
@@ -333,6 +355,10 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
         };
 
         let ranges = shard_ranges(self.n, threads);
+        if self.scratch.len() < ranges.len() {
+            let fresh = vec![A::Msg::default(); self.scratch_len];
+            self.scratch.resize(ranges.len(), fresh);
+        }
         let algo = &self.algo;
         let plan = &self.plan;
         let cols = &self.cols;
@@ -350,7 +376,7 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
                 &ranges[0],
             )]
         } else {
-            let parts = split_spans(&mut self.send_buf, &ranges, |v| plan.send_start(v));
+            let parts = split_spans(&mut self.send_buf, &ranges);
             let mut counters = Vec::new();
             crossbeam::scope(|scope| {
                 let handles: Vec<_> = ranges
@@ -370,8 +396,8 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
         };
         lap(&mut mark, &mut times.send_us);
 
-        // Phase 2: gather + transition fused — each shard owns the
-        // arena span and next-column spans of its contiguous
+        // Phase 2: gather + transition fused — each shard owns its inbox
+        // scratch and the next-column spans of its contiguous
         // destination range, and reads the whole send buffer.
         let gather_counters: Vec<ShardCounters> = {
             let send_buf = &self.send_buf;
@@ -383,22 +409,21 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
                     plan,
                     cols,
                     send_buf,
-                    &mut self.arena,
+                    &mut self.scratch[0],
                     &mut next,
                     &ranges[0],
                 )]
             } else {
-                let arena_parts = split_spans(&mut self.arena, &ranges, |v| plan.inbox_start(v));
-                // Per-shard bundles of (arena span, one span per next column).
-                let mut bundles: Vec<_> = arena_parts
-                    .into_iter()
-                    .map(|a| (a, Vec::with_capacity(self.next.len())))
+                // Per-shard bundles of (scratch, one span per next column).
+                let mut bundles: Vec<_> = self
+                    .scratch
+                    .iter_mut()
+                    .take(ranges.len())
+                    .map(|s| (s.as_mut_slice(), Vec::with_capacity(self.next.len())))
                     .collect();
                 for col in self.next.iter_mut() {
-                    for (part, bundle) in split_spans(col, &ranges, |v| v)
-                        .into_iter()
-                        .zip(&mut bundles)
-                    {
+                    let parts = split_spans(col, &ranges);
+                    for (part, bundle) in parts.into_iter().zip(&mut bundles) {
                         bundle.1.push(part);
                     }
                 }
@@ -407,10 +432,10 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
                     let handles: Vec<_> = ranges
                         .iter()
                         .zip(bundles)
-                        .map(|(r, (arena, mut next))| {
+                        .map(|(r, (scratch, mut next))| {
                             scope.spawn(move |_| {
                                 gather_transition_range::<A, P>(
-                                    algo, plan, cols, send_buf, arena, &mut next, r,
+                                    algo, plan, cols, send_buf, scratch, &mut next, r,
                                 )
                             })
                         })
@@ -523,34 +548,25 @@ fn lap(mark: &mut Option<Instant>, slot: &mut u64) {
     }
 }
 
-/// Split `buf` into one mutable span per range, where range `r` owns
-/// `buf[offset(r.start)..offset(r.end)]`. `offset` must be monotone
-/// with `offset(0) == 0` and `offset(n)` == `buf.len()` over the
-/// ranges' union — which shard layouts from [`shard_ranges`] guarantee.
-fn split_spans<'b, T>(
-    buf: &'b mut [T],
-    ranges: &[Range<usize>],
-    offset: impl Fn(usize) -> usize,
-) -> Vec<&'b mut [T]> {
+/// Split `buf` into one mutable span `buf[r]` per range. The ranges
+/// must tile `buf` in order from index 0 — which shard layouts from
+/// [`shard_ranges`] guarantee.
+fn split_spans<'b, T>(buf: &'b mut [T], ranges: &[Range<usize>]) -> Vec<&'b mut [T]> {
     let mut parts = Vec::with_capacity(ranges.len());
     let mut rest = buf;
-    let mut consumed = 0;
     for r in ranges {
-        let end = offset(r.end);
-        let (head, tail) = rest.split_at_mut(end - consumed);
+        let (head, tail) = rest.split_at_mut(r.len());
         parts.push(head);
         rest = tail;
-        consumed = end;
     }
     parts
 }
 
 /// Phase 1 for one contiguous source range: compute each agent's
-/// isotropic message once and replicate it into the agent's send slots
-/// (one per out-edge, rank order). `out` is the range's span of the
-/// send buffer. Returns the shard's counters — all accumulation is
-/// gated on `P::ENABLED`, so the [`NullProbe`] instantiation pays
-/// nothing.
+/// isotropic message once into its send-buffer entry. `out` is the
+/// range's span of the send buffer. Returns the shard's counters — all
+/// accumulation is gated on `P::ENABLED`, so the [`NullProbe`]
+/// instantiation pays nothing.
 fn send_range<A: FlatAlgorithm, P: FlatProbe>(
     algo: &A,
     plan: &RoutingPlan,
@@ -558,36 +574,29 @@ fn send_range<A: FlatAlgorithm, P: FlatProbe>(
     out: &mut [A::Msg],
     range: &Range<usize>,
 ) -> ShardCounters {
-    let base = plan.send_start(range.start);
     let mut counters = ShardCounters::default();
     if P::ENABLED {
         counters.agents = range.len() as u64;
         counters.messages_routed = plan.send_slots_in(range.clone()) as u64;
         counters.lane_writes = counters.messages_routed * msg_lanes::<A>();
     }
-    for v in range.clone() {
-        let slots = plan.send_range(v);
-        let outdeg = slots.len();
-        if outdeg == 0 {
-            continue;
-        }
-        let msg = algo.message(&load(cols, v), outdeg);
-        out[slots.start - base..slots.end - base].fill(msg);
+    for (v, msg) in range.clone().zip(out) {
+        *msg = algo.message(&load(cols, v), plan.outdegree(v));
     }
     counters
 }
 
 /// Phase 2 for one contiguous destination range: gather each agent's
-/// inbox from the send buffer into the arena span (already in canonical
-/// delivery order, by construction of the plan) and fold it into the
-/// next-state columns. Returns the shard's counters (see
-/// [`send_range`]).
+/// inbox from the send buffer into `scratch` (in canonical delivery
+/// order, by construction of the plan) and fold it into the next-state
+/// columns. An empty `scratch` means every inbox fits the stack buffer.
+/// Returns the shard's counters (see [`send_range`]).
 fn gather_transition_range<A: FlatAlgorithm, P: FlatProbe>(
     algo: &A,
     plan: &RoutingPlan,
     cols: &[Vec<f64>],
     send_buf: &[A::Msg],
-    arena: &mut [A::Msg],
+    scratch: &mut [A::Msg],
     next: &mut [&mut [f64]],
     range: &Range<usize>,
 ) -> ShardCounters {
@@ -601,14 +610,19 @@ fn gather_transition_range<A: FlatAlgorithm, P: FlatProbe>(
         counters.lane_writes = slots * msg_lanes::<A>() + (range.len() * lanes) as u64;
         counters.arena_bytes = slots * std::mem::size_of::<A::Msg>() as u64;
     }
-    let base = plan.inbox_start(range.start);
     let gather = plan.gather();
+    let mut inline = [A::Msg::default(); INLINE_INBOX];
+    let buf = if scratch.is_empty() {
+        &mut inline[..]
+    } else {
+        scratch
+    };
     let mut out = [0.0f64; MAX_LANES];
     for v in range.clone() {
         let slots = plan.inbox_range(v);
-        let inbox = &mut arena[slots.start - base..slots.end - base];
-        for (&slot, m) in gather[slots].iter().zip(inbox.iter_mut()) {
-            *m = send_buf[slot];
+        let inbox = &mut buf[..slots.len()];
+        for (m, &src) in inbox.iter_mut().zip(&gather[slots]) {
+            *m = send_buf[src];
         }
         algo.transition_with_outdegree(&load(cols, v), plan.outdegree(v), inbox)
             .store(&mut out[..lanes]);
@@ -686,6 +700,98 @@ mod tests {
             for (a, b) in boxed.states().iter().zip(flat.lane(0)) {
                 assert_eq!(a.to_bits(), b.to_bits(), "flat diverged from boxed");
             }
+        }
+    }
+
+    /// Push-Sum-style shares folded in delivery order, reading both
+    /// outdegrees: any change to the inbox order, to a parallel edge's
+    /// multiplicity or to either outdegree moves the bits.
+    #[derive(Clone)]
+    struct ShareSum;
+    impl IsotropicAlgorithm for ShareSum {
+        type State = f64;
+        type Msg = (f64, usize);
+        type Output = f64;
+        fn message(&self, state: &f64, outdegree: usize) -> (f64, usize) {
+            (*state / outdegree as f64, outdegree)
+        }
+        fn transition(&self, state: &f64, inbox: &[(f64, usize)]) -> f64 {
+            self.transition_with_outdegree(state, 0, inbox)
+        }
+        fn transition_with_outdegree(
+            &self,
+            _state: &f64,
+            outdegree: usize,
+            inbox: &[(f64, usize)],
+        ) -> f64 {
+            inbox
+                .iter()
+                .fold(outdegree as f64 * 1e-9, |acc, &(share, d)| {
+                    acc + share + d as f64 * 1e-12
+                })
+        }
+        fn output(&self, state: &f64) -> f64 {
+            *state
+        }
+    }
+
+    #[test]
+    fn edge_shapes_match_boxed_at_every_thread_count() {
+        use crate::{Execution, Isotropic};
+
+        // Parallel edges of multiplicity 2 and 3, and a doubled self-loop.
+        let mut multi = Digraph::new(5);
+        for v in 0..5 {
+            multi.add_edge(v, (v + 1) % 5);
+            multi.add_edge(v, (v + 1) % 5);
+            multi.add_edge(v, (v + 2) % 5);
+        }
+        multi.add_edge(3, 3);
+        multi.add_edge(3, 3);
+        let mut pair = Digraph::new(2);
+        pair.add_edge(0, 1);
+        pair.add_edge(1, 0);
+        // The hub's inbox (64 messages) overflows the stack buffer; n = 1
+        // and n = 2 leave fewer shards than threads.
+        let shapes = [
+            in_star(64),
+            multi.with_self_loops(),
+            Digraph::new(1).with_self_loops(),
+            pair.with_self_loops(),
+        ];
+        let msg = std::mem::size_of::<(f64, usize)>();
+        for g in &shapes {
+            let n = g.n();
+            let inits: Vec<f64> = (0..n).map(|v| [1e16, 3.0, 1e-7, 2.0, 1e7][v % 5]).collect();
+            let mut boxed = Execution::new(Isotropic(ShareSum), inits.clone());
+            let mut flats: Vec<(usize, FlatExecution<ShareSum>)> = [1, 2, 3, 4, 8]
+                .into_iter()
+                .map(|t| (t, FlatExecution::new(ShareSum, g, vec![inits.clone()])))
+                .collect();
+            let max_in = (0..n).map(|v| g.indegree(v)).max().unwrap();
+            let heap = if max_in > INLINE_INBOX { max_in } else { 0 };
+            let fresh = flats[0].1.resident_bytes();
+            for round in 1..=6 {
+                boxed.step(g);
+                let want: Vec<u64> = boxed.states().iter().map(|x| x.to_bits()).collect();
+                for (t, flat) in &mut flats {
+                    flat.step_threads(*t);
+                    let got: Vec<u64> = flat.lane(0).iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, want, "n = {n}, {t} threads, round {round}");
+                    // One heap scratch per shard, only for oversized
+                    // inboxes, allocated by the first round and kept.
+                    assert_eq!(
+                        flat.resident_bytes(),
+                        fresh + (*t).min(n) * heap * msg,
+                        "n = {n}, {t} threads, round {round}"
+                    );
+                }
+            }
+            // Fewer shards reuse the scratch already held.
+            let (_, widest) = flats.last_mut().unwrap();
+            let held = widest.resident_bytes();
+            widest.step_threads(2);
+            assert_eq!(widest.resident_bytes(), held);
         }
     }
 

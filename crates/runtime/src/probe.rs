@@ -43,13 +43,17 @@ use serde::{Deserialize, Serialize};
 pub struct ShardCounters {
     /// Agents the shard processed (its contiguous range length).
     pub agents: u64,
-    /// Message slots the shard routed (send slots written in phase 1,
-    /// inbox slots gathered in phase 2).
+    /// Message deliveries the shard accounts for: the out-edges of its
+    /// sources in phase 1, the inbox slots it gathers in phase 2. One
+    /// per edge — the model's delivery volume, not the buffer layout.
     pub messages_routed: u64,
-    /// f64 lane writes the shard performed into the send buffer, arena,
-    /// and next-state columns.
+    /// f64 lanes of the shard's deliveries (one message's lanes per
+    /// counted delivery), plus its next-state column writes in phase 2.
+    /// A model-level volume: the send phase physically stores one
+    /// message per agent, however many out-edges it has.
     pub lane_writes: u64,
-    /// Bytes of the message arena the shard touched (phase 2 only).
+    /// Message bytes the shard gathered into inboxes (phase 2 only):
+    /// one message per inbox slot.
     pub arena_bytes: u64,
 }
 
@@ -194,9 +198,11 @@ pub struct FlatRoundEvent {
     pub round: u64,
     /// Messages delivered this round (= the plan's slot count).
     pub messages_routed: u64,
-    /// f64 lane writes across both phases.
+    /// f64 lanes delivered across both phases, counted per delivered
+    /// message (see [`ShardCounters::lane_writes`]).
     pub lane_writes: u64,
-    /// Message-arena bytes touched this round.
+    /// Message bytes gathered into inboxes this round
+    /// (`slots × size_of::<Msg>()`).
     pub arena_bytes: u64,
     /// FNV-1a over the bit patterns of the round's strided lane samples.
     pub sample_digest: u64,
@@ -212,7 +218,7 @@ pub struct FlatProbeSummary {
     pub messages_routed: u64,
     /// Total f64 lane writes.
     pub lane_writes: u64,
-    /// High-water mark of per-round arena bytes touched.
+    /// High-water mark of per-round message bytes gathered into inboxes.
     pub arena_high_water_bytes: u64,
     /// Individual lane samples hashed into the round digests.
     pub lane_samples: u64,

@@ -57,7 +57,7 @@ proptest! {
 }
 
 /// Every per-round event restates the routing plan: a round routes
-/// exactly `plan.slots()` messages and regathers the full arena.
+/// exactly `plan.slots()` messages and regathers every inbox slot.
 #[test]
 fn probe_counters_match_the_routing_plan() {
     let n = 17;
@@ -72,8 +72,8 @@ fn probe_counters_match_the_routing_plan() {
     for event in probe.events() {
         assert_eq!(event.messages_routed, slots);
         assert_eq!(event.arena_bytes, slots * 2 * 8, "MSG_LANES=2 f64 slots");
-        // Lane writes: send fills `slots × MSG_LANES`, gather reads the
-        // same plus one `STATE_LANES` write per agent.
+        // Lane writes: `slots × MSG_LANES` delivered by the send phase,
+        // the same gathered, plus one `STATE_LANES` write per agent.
         assert_eq!(event.lane_writes, 4 * slots + 2 * n as u64);
     }
     let summary = probe.summary();
@@ -128,31 +128,34 @@ fn measured_flat_drive_matches_boxed_convergence() {
     }
 }
 
-/// The resident footprint is exactly the EXPERIMENTS.md figures: a
-/// directed ring with self-loops (2 slots/agent) holds 128 B/agent, a
-/// ring-plus-chord (3 slots/agent) holds 168 B/agent, plus the plans'
-/// constant 16 B of prefix-array overhead.
+/// The resident footprint is exact: Push-Sum's 2 state lanes, doubled,
+/// plus one 16 B message per agent are 48 B/agent; the plan adds 8 B
+/// per agent per prefix array and 8 B per edge slot. A directed ring
+/// with self-loops (2 slots/agent) holds 80 B/agent, a ring-plus-chord
+/// (3 slots/agent) 88 B/agent, plus the plans' constant 16 B of
+/// prefix-array overhead. Every inbox fits the stack buffer, so no
+/// per-shard heap scratch is ever allocated.
 #[test]
 fn resident_bytes_pins_the_experiments_numbers() {
     let n = 1024;
-    // Ring + self-loops: slots = 2n, so 96n f64 buffer bytes + 32n + 16
+    // Ring + self-loops: slots = 2n, so 48n buffer bytes + 32n + 16
     // plan bytes.
     let ring = generators::directed_ring(n).with_self_loops();
     let states = PushSumState::columns(&PushSumState::averaging(&values_for(n, 1)));
     let mut exec = FlatExecution::new(PushSum, &ring, states.clone());
-    assert_eq!(exec.resident_bytes(), 128 * n + 16);
-    // The footprint is capacity-based, so running rounds (which touches
-    // the whole arena) changes nothing.
+    assert_eq!(exec.resident_bytes(), 80 * n + 16);
+    // The footprint is capacity-based, so running rounds (which gathers
+    // every inbox slot) changes nothing.
     assert_eq!(exec.arena_high_water(), 0, "no round executed yet");
     exec.run(3, 2);
-    assert_eq!(exec.resident_bytes(), 128 * n + 16);
+    assert_eq!(exec.resident_bytes(), 80 * n + 16);
     assert_eq!(
         exec.arena_high_water(),
         2 * n * 16,
         "2n slots × 2 lanes × 8 B"
     );
 
-    // Ring + chord v→v+2 + self-loops: slots = 3n → 128n + 40n + 16.
+    // Ring + chord v→v+2 + self-loops: slots = 3n → 48n + 40n + 16.
     let mut chord = Digraph::new(n);
     for v in 0..n {
         chord.add_edge(v, (v + 1) % n);
@@ -160,7 +163,7 @@ fn resident_bytes_pins_the_experiments_numbers() {
     }
     let chord = chord.with_self_loops();
     let exec = FlatExecution::new(PushSum, &chord, states);
-    assert_eq!(exec.resident_bytes(), 168 * n + 16);
+    assert_eq!(exec.resident_bytes(), 88 * n + 16);
 }
 
 /// `NullProbe` is purely an erasure: stepping with it (or through the
