@@ -7,7 +7,8 @@
 //! - **outdegree awareness** (eq. 1): the homogeneous system `M z = 0`
 //!   with `M_{ij} = d_{i,j}` off-diagonal and `M_{ii} = d_{i,i} - b_i`,
 //!   whose kernel is one-dimensional and positive (the Perron–Frobenius
-//!   argument of §4.2) — solved exactly over ℚ;
+//!   argument of §4.2) — solved exactly over ℤ by fraction-free
+//!   elimination, the ray certified before it is returned;
 //! - **symmetric communications** (eq. 4): `d_{i,j} |F_j| = d_{j,i}
 //!   |F_i|`, solved by ratio propagation along a spanning tree;
 //! - **output port awareness** (eq. 3): every fibration is a covering, so
@@ -21,7 +22,7 @@
 
 use crate::min_base::{MinBaseBroadcast, MinBaseOutdegree, MinBasePorts, ViewState};
 use crate::views::CandidateBase;
-use kya_arith::{BigInt, BigRational, KernelError, QMatrix};
+use kya_arith::{BigInt, BigRational, IMatrix, KernelError};
 use kya_runtime::{Algorithm, BroadcastAlgorithm, IsotropicAlgorithm};
 use std::fmt;
 
@@ -206,7 +207,7 @@ impl FibreCensus {
 pub fn census_from_outdegree_base(cb: &CandidateBase) -> Result<FibreCensus, CensusError> {
     let m = cb.graph.n();
     let counts = cb.graph.multiplicity_matrix();
-    let mut mat = QMatrix::zeros(m, m);
+    let mut mat = IMatrix::zeros(m, m);
     for i in 0..m {
         for j in 0..m {
             let d = counts[i][j] as i64;
@@ -215,7 +216,7 @@ pub fn census_from_outdegree_base(cb: &CandidateBase) -> Result<FibreCensus, Cen
             } else {
                 d
             };
-            mat[(i, j)] = BigRational::from_integer(entry);
+            mat[(i, j)] = BigInt::from(entry);
         }
     }
     let ray = mat.positive_integer_kernel()?;
@@ -268,9 +269,8 @@ pub fn census_from_symmetric_base(cb: &CandidateBase) -> Result<FibreCensus, Cen
             }
         }
     }
-    // Scale to coprime positive integers via the shared-kernel helper:
-    // build a 1 x m matrix whose kernel is exactly the ray's orthogonal
-    // complement? Simpler: clear denominators and divide by gcd.
+    // Scale to coprime positive integers: clear denominators, divide by
+    // the gcd.
     let denom_lcm = ray_q
         .iter()
         .fold(BigInt::one(), |acc, x| kya_arith::lcm(&acc, x.denom()));

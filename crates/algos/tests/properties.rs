@@ -6,13 +6,39 @@ use kya_algos::lifting::{check_lifting, close_fibration, ring_fibration};
 use kya_algos::min_base::{MinBaseBroadcast, ViewState};
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_algos::views::View;
-use kya_arith::BigRational;
+use kya_arith::{BigInt, BigRational};
 use kya_fibration::iso::are_isomorphic;
 use kya_fibration::MinimumBase;
 use kya_graph::{generators, DynamicGraph, RandomDynamicGraph, StaticGraph};
 use kya_runtime::testing::check_multiset_invariance;
 use kya_runtime::{Broadcast, Execution, Isotropic, RunConfig};
 use proptest::prelude::*;
+
+/// The lift of `base` in which every base edge `i -> j` becomes all
+/// `sizes[i] * sizes[j]` edges from fibre `i` to fibre `j`, with
+/// `fibre_of[v]` the base vertex of `v`. Every vertex of a fibre then has
+/// the same in-edges per fibre *and* the same outdegree, so with one
+/// value per fibre the outdegree-aware minimum base has exactly these
+/// fibres.
+/// (`generators::connected_lift` spreads each base edge's sources
+/// unevenly, so a fibre's vertices differ in outdegree and the lift is
+/// almost always prime under outdegree awareness.)
+fn complete_lift(base: &kya_graph::Digraph, sizes: &[usize]) -> (kya_graph::Digraph, Vec<usize>) {
+    let fibre_of: Vec<usize> = (0..base.n())
+        .flat_map(|i| std::iter::repeat_n(i, sizes[i]))
+        .collect();
+    let start = |i: usize| sizes[..i].iter().sum::<usize>();
+    let members = |i: usize| start(i)..start(i) + sizes[i];
+    let mut g = kya_graph::Digraph::new(fibre_of.len());
+    for e in base.edges() {
+        for u in members(e.src) {
+            for w in members(e.dst) {
+                g.add_edge(u, w);
+            }
+        }
+    }
+    (g, fibre_of)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -98,6 +124,32 @@ proptest! {
         for (v, f) in census.frequencies() {
             let count = values.iter().filter(|&&w| w == v).count() as i64;
             prop_assert_eq!(f, BigRational::from_i64(count, n as i64));
+        }
+    }
+
+    /// On a lift with prescribed fibre sizes, the outdegree census ray is
+    /// the coprime version of the sizes: non-unit rays, unlike the random
+    /// graphs above, whose census is mostly all-ones.
+    #[test]
+    fn census_ray_is_the_reduced_fibre_sizes(
+        m in 2usize..7,
+        extra in 0usize..4,
+        seed in 0u64..300,
+        sizes in proptest::collection::vec(1usize..5, 6),
+    ) {
+        let sizes = &sizes[..m];
+        let base = generators::random_strongly_connected(m, extra, seed).with_self_loops();
+        let (g, fibre_of) = complete_lift(&base, sizes);
+        // Distinct values per fibre keep fibres from merging.
+        let values: Vec<u64> = fibre_of.iter().map(|&f| f as u64).collect();
+        let net = StaticGraph::new(g.clone());
+        let mut exec = Execution::new(Isotropic(CensusOutdegree), ViewState::initial(&values));
+        exec.drive(&net, RunConfig::rounds((g.n() * 2 + 10) as u64));
+        let census = exec.outputs()[0].clone().expect("stabilized");
+        prop_assert_eq!(census.values().len(), m);
+        let gcd = sizes.iter().fold(BigInt::zero(), |acc, &s| acc.gcd(&BigInt::from(s)));
+        for (&v, z) in census.values().iter().zip(census.ray()) {
+            prop_assert_eq!(z, &(&BigInt::from(sizes[v as usize]) / &gcd));
         }
     }
 

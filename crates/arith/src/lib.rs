@@ -11,8 +11,9 @@
 //! - [`BigInt`]: arbitrary-precision signed integers,
 //! - [`BigRational`]: exact rationals with best-approximation search
 //!   (needed to round Push-Sum outputs to the grid ℚ_N of §5.4),
-//! - [`QMatrix`]: dense rational matrices with reduced row echelon form,
-//!   rank, and kernel bases scaled to coprime integers,
+//! - [`IMatrix`]: dense integer matrices with Bareiss fraction-free
+//!   elimination (rank, determinant, integer kernel bases) and the
+//!   certified coprime positive kernel ray of eq. 1,
 //! - [`interval`]: directed-rounding f64 enclosures ([`Enclosure`]) and
 //!   the lazily-normalized [`LazyRational`] — the certified backend's
 //!   "certify in f64, escalate to ℚ" ladder,
@@ -29,18 +30,17 @@
 //! # Example
 //!
 //! ```
-//! use kya_arith::{BigInt, BigRational, QMatrix};
+//! use kya_arith::{BigInt, IMatrix};
 //!
 //! // The fibre-count system for a 3-fibre base: M z = 0 has the rank-one
 //! // kernel spanned by (1, 2, 3).
-//! let m = QMatrix::from_i64_rows(&[
+//! let m = IMatrix::from_i64_rows(&[
 //!     &[-8, 1, 2],
 //!     &[ 2, -4, 2],
 //!     &[ 6, 3, -4],
 //! ]);
 //! let z = m.positive_integer_kernel().expect("rank-one kernel");
 //! assert_eq!(z, vec![BigInt::from(1), BigInt::from(2), BigInt::from(3)]);
-//! # let _ = BigRational::from_i64(1, 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,16 +49,14 @@
 mod bigint;
 mod int_linalg;
 pub mod interval;
-mod linalg;
 mod rational;
 mod scalar;
 pub mod spectral;
 pub mod stochastic;
 
 pub use bigint::{BigInt, ParseBigIntError, Sign};
-pub use int_linalg::IMatrix;
+pub use int_linalg::{IMatrix, KernelError};
 pub use interval::{Certainty, Enclosure, LazyRational};
-pub use linalg::{KernelError, QMatrix};
 pub use rational::{BigRational, ParseRationalError};
 pub use scalar::Scalar;
 

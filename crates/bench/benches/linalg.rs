@@ -1,21 +1,21 @@
-//! Criterion bench: exact kernel solving (ablation A1 — the exact ℚ
-//! Gaussian elimination that eq. (1) requires, vs an f64 power-iteration
-//! stand-in that can only approximate the kernel ray and can never yield
-//! coprime integers).
+//! Criterion bench: exact kernel solving (ablation A1 — the exact ℤ
+//! elimination that eq. (1) requires, vs an f64 power-iteration stand-in
+//! that can only approximate the kernel ray and can never yield coprime
+//! integers).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kya_arith::spectral::FMatrix;
-use kya_arith::{BigRational, QMatrix};
+use kya_arith::{BigInt, IMatrix};
 use std::time::Duration;
 
 /// Fibre-count matrix of a synthetic base with ray (1, 2, ..., m): build
 /// M with M z = 0 by construction.
-fn fibre_matrix(m: usize) -> QMatrix {
-    // Off-diagonal entries: d_{i,j} = ((i + j) % 3) + 1; diagonal row
-    // balance chosen so that z = (1..m) is in the kernel:
-    // M_{ii} = -(sum_{j != i} d_{i,j} z_j) / z_i — keep it integer by
-    // scaling rows by z_i.
-    let mut q = QMatrix::zeros(m, m);
+fn fibre_matrix(m: usize) -> IMatrix {
+    // Off-diagonal entries: d_{i,j} = ((i + j) % 3) + 1. The balancing
+    // diagonal -(sum_{j != i} d_{i,j} z_j) / z_i puts z = (1..m) in the
+    // kernel; scaling row i by z_i keeps every entry an integer without
+    // moving the kernel.
+    let mut q = IMatrix::zeros(m, m);
     for i in 0..m {
         let zi = (i + 1) as i64;
         let mut acc = 0i64;
@@ -24,15 +24,10 @@ fn fibre_matrix(m: usize) -> QMatrix {
                 continue;
             }
             let d = (((i + j) % 3) + 1) as i64;
-            let zj = (j + 1) as i64;
-            q[(i, j)] = BigRational::from_integer(d * zi);
-            acc += d * zi * zj;
+            q[(i, j)] = BigInt::from(d * zi);
+            acc += d * (j + 1) as i64;
         }
-        // Diagonal: -(acc / zi) after row scaling by zi: row i is
-        // zi * (original row), so diagonal entry is -acc/zi * ... keep
-        // exact: row scaled by zi means kernel unchanged; diagonal must
-        // satisfy M_{ii} zi = -acc.
-        q[(i, i)] = BigRational::new(kya_arith::BigInt::from(-acc), kya_arith::BigInt::from(zi));
+        q[(i, i)] = BigInt::from(-acc);
     }
     q
 }
@@ -44,6 +39,8 @@ fn bench_exact_kernel(c: &mut Criterion) {
         .sample_size(10);
     for m in [4usize, 8, 16, 24] {
         let q = fibre_matrix(m);
+        let ray: Vec<BigInt> = (1..=m).map(BigInt::from).collect();
+        assert_eq!(q.positive_integer_kernel(), Ok(ray));
         group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {
             b.iter(|| q.positive_integer_kernel().expect("rank one"))
         });

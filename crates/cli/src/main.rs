@@ -71,7 +71,9 @@ use kya_graph::{connectivity, Digraph, RandomDynamicGraph, StaticGraph};
 use kya_harness::{Args, CellOutcome, ChurnSpec, ExperimentSpec, PlanSpec, Runner, TelemetryMode};
 use kya_runtime::churn::ChurnMasked;
 use kya_runtime::metric::EuclideanMetric;
-use kya_runtime::{BandwidthCap, Broadcast, ByteLedger, Execution, Isotropic, RunConfig};
+use kya_runtime::{
+    Algorithm, BandwidthCap, Broadcast, ByteLedger, Execution, Isotropic, RunConfig,
+};
 use spec::{parse_graph, parse_values, SpecError};
 use std::process::ExitCode;
 
@@ -128,7 +130,8 @@ fn census_report(census: &FibreCensus, n: usize, known_n: bool, leaders: Option<
         }
         None => v.to_string(),
     };
-    let mut out = format!("fibre census (ray {:?}):\n", census.ray());
+    let ray: Vec<String> = census.ray().iter().map(BigInt::to_string).collect();
+    let mut out = format!("fibre census (ray [{}]):\n", ray.join(", "));
     for (v, f) in census.frequencies() {
         out += &format!("  value {}: frequency {f}\n", label(v));
     }
@@ -230,26 +233,16 @@ fn census(args: &Args) -> Result<String, SpecError> {
     let net = StaticGraph::new(g.clone());
     let model = args.required("model")?;
     let census = match model {
-        "outdegree" => {
-            let mut exec = Execution::new(Isotropic(CensusOutdegree), ViewState::initial(&values));
-            exec.drive(&net, RunConfig::rounds(rounds));
-            exec.outputs()[0].clone()
-        }
+        "outdegree" => agent0_census(Isotropic(CensusOutdegree), &values, &net, rounds),
         "symmetric" => {
             if !g.is_bidirectional() {
                 return Err(SpecError(
                     "the symmetric model needs a bidirectional graph".into(),
                 ));
             }
-            let mut exec = Execution::new(Broadcast(CensusSymmetric), ViewState::initial(&values));
-            exec.drive(&net, RunConfig::rounds(rounds));
-            exec.outputs()[0].clone()
+            agent0_census(Broadcast(CensusSymmetric), &values, &net, rounds)
         }
-        "ports" => {
-            let mut exec = Execution::new(CensusPorts, ViewState::initial(&values));
-            exec.drive(&net, RunConfig::rounds(rounds));
-            exec.outputs()[0].clone()
-        }
+        "ports" => agent0_census(CensusPorts, &values, &net, rounds),
         other => {
             return Err(SpecError(format!(
                 "unknown model `{other}` (outdegree, symmetric, ports)"
@@ -265,6 +258,18 @@ fn census(args: &Args) -> Result<String, SpecError> {
             "census did not stabilize within n + D + slack rounds".into(),
         )),
     }
+}
+
+/// Drive a census algorithm for `rounds` rounds and read agent 0's
+/// census; no other agent's output is computed.
+fn agent0_census<A>(algo: A, values: &[u64], net: &StaticGraph, rounds: u64) -> Option<FibreCensus>
+where
+    A: Algorithm<State = ViewState, Output = Option<FibreCensus>> + Sync,
+    A::Msg: Send + Sync,
+{
+    let mut exec = Execution::new(algo, ViewState::initial(values));
+    exec.drive(net, RunConfig::rounds(rounds));
+    exec.algorithm().output(&exec.states()[0])
 }
 
 fn cmd_pushsum(args: &Args) -> Result<(), SpecError> {
@@ -1184,6 +1189,8 @@ mod tests {
         );
         assert!(report.contains("value 2: frequency 3/4"), "{report}");
         assert!(!report.contains("9223372036854775"), "{report}");
+        assert!(report.contains("fibre census (ray [3, 1]):"), "{report}");
+        assert!(!report.contains("BigInt"), "{report}");
     }
 
     #[test]
