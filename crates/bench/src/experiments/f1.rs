@@ -12,7 +12,7 @@
 //! networks never leaves the ball again, so `converged_at` matches the
 //! full-budget answer at a fraction of the wall-clock.
 
-use super::{dynamic_net, observed_convergence, Experiment};
+use super::{dynamic_net, observed_convergence, require_sizes, Experiment};
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_graph::StaticGraph;
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, ResultSink, SpecError};
@@ -42,6 +42,7 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
         .rounds(BUDGET)
         .eps(1e-6)
         .with_args(args)?;
+    require_sizes(&a, 1, "a ring needs an agent")?;
     let groups = args.usize_list_flag("groups", &[2, 3, 4, 6, 8, 12])?;
     let b = ExperimentSpec::new("f1b_layered")
         .topologies(

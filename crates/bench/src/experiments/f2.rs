@@ -11,7 +11,7 @@
 //! [`TopologyCache`](kya_harness::TopologyCache), computed once per
 //! (topology, values) pair and reused by every worker.
 
-use super::Experiment;
+use super::{require_sizes, Experiment};
 use crate::minbase_stabilization_round;
 use kya_algos::min_base::{DepthCapped, MinBaseBroadcast, MinBaseOutdegree, ViewState};
 use kya_fibration::iso::are_isomorphic;
@@ -37,10 +37,16 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
         .sizes([4, 6, 8, 10, 12])
         .algorithms(ALGOS)
         .with_args(args)?;
+    require_sizes(&rings, 1, "a ring needs an agent")?;
     let mut specs = vec![rings];
     // One spec per random size: the generator seed is `31 n`, which the
     // `{n}`/`{seed}` placeholders cannot express as a single pattern.
     for n in args.usize_list_flag("rand-sizes", &[6, 9, 12])? {
+        if n < 2 {
+            return Err(SpecError(format!(
+                "--rand-sizes entries must be at least 2 (the graph adds n extra edges), got {n}"
+            )));
+        }
         specs.push(
             ExperimentSpec::new("f2_random")
                 .topologies([format!("random:{n}:{n}:{}", 31 * n as u64)])

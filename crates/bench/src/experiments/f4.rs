@@ -3,7 +3,7 @@
 //! algorithm axis carries the five §5 update rules; cells measure
 //! rounds to a stable 1e-9 ε-ball via a confirmed measured `drive`.
 
-use super::{dynamic_net, observed_convergence, Experiment};
+use super::{dynamic_net, observed_convergence, require_sizes, Experiment};
 use kya_algos::metropolis::{FixedWeight, LazyMetropolis, Metropolis};
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, ResultSink, SpecError};
@@ -42,6 +42,9 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
         .rounds(200_000)
         .eps(1e-9)
         .with_args(args)?;
+    for spec in [&sync, &async_starts] {
+        require_sizes(spec, 5, "the graphs add 4 random edge pairs")?;
+    }
     Ok(vec![sync, async_starts])
 }
 

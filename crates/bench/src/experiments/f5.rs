@@ -4,7 +4,7 @@
 //! worst-case error at exponentially spaced checkpoints from the
 //! round-by-round trace a measured `drive` records.
 
-use super::{dynamic_net, Experiment};
+use super::{dynamic_net, require_sizes, Experiment};
 use kya_algos::metropolis::{FixedWeight, Metropolis};
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, ResultSink, SpecError};
@@ -36,6 +36,8 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
         .algorithms(["pushsum"])
         .rounds(1023)
         .with_args(args)?;
+    require_sizes(&sym, 4, "the symmetric graphs add 3 random edge pairs")?;
+    require_sizes(&dir, 2, "the directed graphs add 4 random edges")?;
     Ok(vec![sym, dir])
 }
 

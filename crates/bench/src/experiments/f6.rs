@@ -8,7 +8,7 @@
 //! `--seed` and the cell index), so output is byte-identical across
 //! runs and worker counts.
 
-use super::{f64_list_flag, Experiment};
+use super::{f64_list_flag, require_sizes, Experiment};
 use kya_algos::push_sum::{total_mass, PushSum, PushSumState, SelfHealingPushSum};
 use kya_graph::StaticGraph;
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, PlanSpec, ResultSink, SpecError};
@@ -45,14 +45,21 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
             plans.push(plan);
         }
     }
-    Ok(vec![ExperimentSpec::new("f6_fault_recovery")
+    let spec = ExperimentSpec::new("f6_fault_recovery")
         .topologies(["ring:{n}", "torus:{n}", "random:{n}:8:{seed}"])
         .sizes([12])
         .algorithms(["healing", "plain"])
         .plans(plans)
         .rounds(800)
         .eps(1e-6)
-        .with_args(args)?])
+        .with_args(args)?;
+    let crashed = crash_counts.iter().copied().max().unwrap_or(0);
+    require_sizes(
+        &spec,
+        crashed.max(2),
+        "the random graph adds 8 edges, and crash windows name agents 0..crashes",
+    )?;
+    Ok(vec![spec])
 }
 
 fn cell(ctx: &CellCtx) -> CellOutcome {

@@ -15,7 +15,7 @@
 //! exactly, a ledger mismatch, or the `b = ∞` rung not reproducing the
 //! uncapped fingerprint bitwise.
 
-use super::Experiment;
+use super::{require_sizes, Experiment};
 use kya_algos::metropolis::Metropolis;
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_algos::quantized::{QuantizedMetropolis, QuantizedPushSum};
@@ -39,13 +39,15 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
     // Symmetric topologies only: quantized Metropolis conserves tokens
     // through antisymmetric pairwise transfers, which need every link to
     // be bidirectional.
-    Ok(vec![ExperimentSpec::new("f7_bandwidth")
+    let spec = ExperimentSpec::new("f7_bandwidth")
         .topologies(["biring:{n}", "complete:{n}", "path:{n}"])
         .sizes([8, 12])
         .algorithms(["qpushsum", "qmetropolis"])
         .variants(["b1", "b2", "b4", "b8", "binf"])
         .rounds(600)
-        .with_args(args)?])
+        .with_args(args)?;
+    require_sizes(&spec, 1, "a graph needs an agent")?;
+    Ok(vec![spec])
 }
 
 /// Deterministic per-cell inputs (same scheme as F6): values in `0..13`.

@@ -13,7 +13,7 @@
 //! `churn-determinism` job diffs this sweep's NDJSON at `--workers 1`
 //! vs `--workers 4`.
 
-use super::Experiment;
+use super::{require_sizes, Experiment};
 use kya_algos::metropolis::Metropolis;
 use kya_algos::push_sum::{total_mass, PushSumState, SelfHealingPushSum};
 use kya_harness::SpecError;
@@ -58,7 +58,7 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
     if drop > 0.0 {
         plans.push(PlanSpec::quiescent().drop_links(drop).until(horizon));
     }
-    Ok(vec![ExperimentSpec::new("f8_churn")
+    let spec = ExperimentSpec::new("f8_churn")
         .topologies(["pair:uniform:{n}:{seed}", "pair:cover:{n}:{seed}"])
         .sizes([12])
         .algorithms(["healing", "metropolis"])
@@ -66,7 +66,9 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
         .plans(plans)
         .rounds(400)
         .eps(1e-6)
-        .with_args(args)?])
+        .with_args(args)?;
+    require_sizes(&spec, 3, "the churn scripts name agents 0, 1 and 2")?;
+    Ok(vec![spec])
 }
 
 fn cell(ctx: &CellCtx) -> CellOutcome {

@@ -15,7 +15,6 @@ pub mod f5;
 pub mod f6;
 pub mod f7;
 pub mod f8;
-pub mod flat;
 pub mod table1;
 pub mod table2;
 
@@ -62,7 +61,6 @@ pub const EXPERIMENTS: &[&Experiment] = &[
     &f6::EXPERIMENT,
     &f7::EXPERIMENT,
     &f8::EXPERIMENT,
-    &flat::EXPERIMENT,
 ];
 
 /// Look up an experiment by registry name.
@@ -145,6 +143,19 @@ pub fn run_collect(
         })
         .collect();
     Ok((exp, sinks))
+}
+
+/// Reject a size-axis entry below `min` before any cell runs: the
+/// smallest network `spec`'s cells can be built on, with `why` naming
+/// the constraint.
+pub(crate) fn require_sizes(spec: &ExperimentSpec, min: usize, why: &str) -> Result<(), SpecError> {
+    match spec.size_axis().iter().find(|&&n| n < min) {
+        Some(n) => Err(SpecError(format!(
+            "{}: --sizes entries must be at least {min} ({why}), got {n}",
+            spec.name()
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// Run `exec` until its outputs sit in a stable ε-ball around `target`
@@ -313,15 +324,34 @@ mod tests {
 
     #[test]
     fn registry_finds_all_experiments() {
-        for name in [
-            "table1", "table2", "f1", "f2", "f4", "f5", "f6", "f7", "f8", "flat",
-        ] {
+        for name in ["table1", "table2", "f1", "f2", "f4", "f5", "f6", "f7", "f8"] {
             assert!(find(name).is_some(), "{name} registered");
         }
         assert!(find("f3").is_none(), "F3 rides inside f2");
         let argv = vec!["--nonsense".to_string()];
         assert!(run("f6", &argv).is_err(), "unknown flag rejected");
         assert!(run("nope", &[]).is_err(), "unknown experiment rejected");
+    }
+
+    /// Every size a user can ask for yields records or a typed error
+    /// before any cell runs, never a worker panic.
+    #[test]
+    fn small_sizes_fail_typed_never_panic() {
+        let mut panicked = Vec::new();
+        for exp in EXPERIMENTS {
+            for n in 0..=5 {
+                let argv: Vec<String> =
+                    ["--sizes", &n.to_string(), "--seeds", "1", "--rounds", "3"]
+                        .iter()
+                        .map(|s| s.to_string())
+                        .collect();
+                let run = || run_collect(exp.name, &argv, TelemetryMode::off(), &[]).map(|_| ());
+                if std::panic::catch_unwind(run).is_err() {
+                    panicked.push(format!("{} --sizes {n}", exp.name));
+                }
+            }
+        }
+        assert!(panicked.is_empty(), "sweeps panicked: {panicked:?}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! with the partial positive result that *is* known (Cor. 5.5 / §5.5).
 
 use super::table1::{parse_help, render_checks, HELPS};
-use super::Experiment;
+use super::{require_sizes, Experiment};
 use kya_algos::gossip::{set_functions, SetGossip};
 use kya_algos::metropolis::{FixedWeight, Metropolis};
 use kya_algos::push_sum::{normalize_estimate, round_to_grid, FrequencyState, PushSumFrequency};
@@ -36,6 +36,11 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
         .sizes([8])
         .rounds(1200)
         .with_args(args)?;
+    require_sizes(
+        &positive,
+        4,
+        "the symmetric column adds 3 random edge pairs",
+    )?;
     // The shared negative side: one cell, no axes.
     let negative = ExperimentSpec::new("table2_negative");
     Ok(vec![positive, negative])

@@ -39,12 +39,11 @@
 //!                                  (--only restricts to one oracle, e.g.
 //!                                  `--only backend` for the certified
 //!                                  enclosure oracle alone)
-//! kya profile  [--out FILE] [--smoke] [--threads LIST] [--probe-out FILE]
-//!              [--validate FILE]
-//!                                  run the seeded flat+boxed profile matrix
-//!                                  and write the versioned BENCH_flat.json
-//!                                  snapshot (rounds/s, bytes/agent, phase
-//!                                  breakdown, host fingerprint)
+//! kya profile  --probe-out FILE [--smoke] [--threads LIST]
+//!                                  write the seeded flat Push-Sum matrix's
+//!                                  deterministic probe stream (counters and
+//!                                  sample digests, byte-identical at any
+//!                                  thread count)
 //! ```
 //!
 //! Graph specs: `ring:6`, `biring:6`, `star:5`, `path:4`, `complete:4`,
@@ -90,12 +89,10 @@ const USAGE: &str = "usage:
               [--seed S] [--eps E] [--json]
   kya bandwidth --graph SPEC --values VALS [--bits B|inf] [--algo qpushsum|qmetropolis]
               [--rounds R] [--json]
-  kya sweep   [EXPERIMENT] [--workers N] [--ndjson | --json] [--engine boxed|flat|both]
-              [sweep flags...]
+  kya sweep   [EXPERIMENT] [--workers N] [--ndjson | --json] [sweep flags...]
   kya trace   [EXPERIMENT] [--trace-out FILE] [--residuals] [sweep flags...]
   kya check   [--matrix small|full] [--workers N] [--ndjson] [--only CHECK]
-  kya profile [--out FILE] [--smoke] [--threads LIST] [--probe-out FILE]
-              [--validate FILE]
+  kya profile --probe-out FILE [--smoke] [--threads LIST]
 
 graph specs: ring:6 biring:6 star:5 path:4 complete:4 torus:3x4 torus:12
              hypercube:3 debruijn:2x3 kautz:2x1 layered:3x8
@@ -104,7 +101,7 @@ value lists: 1,2,3 or 5x3,7 (repeat shorthand)
 crash specs: AGENT:FROM:UNTIL (crash-recover) or AGENT:FROM:- (crash-stop)
 churn specs: stable, or cAGENT:LEAVE:REJOIN[,...][+reset] (- = never rejoin),
              e.g. c1:10:30 or c1:10:30,2:20:45+reset
-sweeps:      table1 table2 f1 f2 f4 f5 f6 f7 f8 flat (run `kya sweep` to list)";
+sweeps:      table1 table2 f1 f2 f4 f5 f6 f7 f8 (run `kya sweep` to list)";
 
 fn graph_and_values(args: &Args) -> Result<(Digraph, Vec<u64>), SpecError> {
     let g = parse_graph(args.required("graph")?)?;
@@ -286,6 +283,20 @@ fn cmd_pushsum(args: &Args) -> Result<(), SpecError> {
     }
     let rounds = args.u64_flag("rounds", 600)?;
     let seed = args.u64_flag("seed", 42)?;
+    // Frequencies have denominators up to n, so a grid Q_B with B < n
+    // cannot hold them: rounding onto it prints a wrong answer.
+    let bound = match args.optional("bound") {
+        Some(b) => match b.parse::<usize>() {
+            Ok(bound) if bound >= n => Some(bound),
+            Ok(bound) => {
+                return Err(SpecError(format!(
+                    "--bound must be at least n = {n}, got {bound}"
+                )))
+            }
+            Err(_) => return Err(SpecError("--bound must be a number".into())),
+        },
+        None => None,
+    };
     // A single agent has no pair to add an extra edge between.
     let extra = if n > 1 { (n / 2).max(1) } else { 0 };
     let net = RandomDynamicGraph::directed(n, extra, seed);
@@ -299,10 +310,7 @@ fn cmd_pushsum(args: &Args) -> Result<(), SpecError> {
     for (v, x) in &est {
         println!("  value {v}: {x:.9}");
     }
-    if let Some(b) = args.optional("bound") {
-        let bound: usize = b
-            .parse()
-            .map_err(|_| SpecError("--bound must be a number".into()))?;
+    if let Some(bound) = bound {
         println!("rounded to the grid Q_{bound}:");
         // round_to_grid clamps to [0, 1] and sends non-finite estimates
         // (leader mode before any weight arrives) to 0, so every printed
@@ -370,6 +378,15 @@ fn parse_crashes(spec: &str, n: usize, mut plan: PlanSpec) -> Result<PlanSpec, S
     Ok(plan)
 }
 
+/// The `--rounds` budget of a recovery or bandwidth run: at least one
+/// round, or there is nothing to report on.
+fn round_budget(args: &Args, default: u64) -> Result<u64, SpecError> {
+    match args.u64_flag("rounds", default)? {
+        0 => Err(SpecError("--rounds must be at least 1".into())),
+        rounds => Ok(rounds),
+    }
+}
+
 /// The `--until` fault horizon: probabilistic faults cease after it so
 /// "rounds to recover after the last fault" is well defined. Defaults to
 /// half the run (at least round 1); an explicit 0 is rejected — a plan
@@ -397,7 +414,7 @@ fn cmd_faults(args: &Args) -> Result<(), SpecError> {
     if !(0.0..1.0).contains(&drop_p) || !(0.0..=1.0).contains(&dup_p) {
         return Err(SpecError("--drop needs [0,1), --dup needs [0,1]".into()));
     }
-    let rounds = args.u64_flag("rounds", 300)?.max(1);
+    let rounds = round_budget(args, 300)?;
     let seed = args.u64_flag("seed", 42)?;
     let eps = args.f64_flag("eps", 1e-6)?;
     let horizon = fault_horizon(args, rounds)?;
@@ -505,7 +522,7 @@ fn cmd_bandwidth(args: &Args) -> Result<(), SpecError> {
     let cap = BandwidthCap::parse(cap_s)
         .ok_or_else(|| SpecError(format!("invalid --bits `{cap_s}` (1..=52, or `inf`)")))?;
     let algo_name = args.optional("algo").unwrap_or("qpushsum");
-    let rounds = args.u64_flag("rounds", 200)?.max(1);
+    let rounds = round_budget(args, 200)?;
     let g = g.with_self_loops();
     let n = g.n();
     let edges = g.edge_count() as u64;
@@ -668,7 +685,7 @@ fn cmd_churn(args: &Args) -> Result<(), SpecError> {
     if !(0.0..1.0).contains(&drop_p) {
         return Err(SpecError("--drop needs [0,1)".into()));
     }
-    let rounds = args.u64_flag("rounds", 300)?.max(1);
+    let rounds = round_budget(args, 300)?;
     let seed = args.u64_flag("seed", 42)?;
     let eps = args.f64_flag("eps", 1e-6)?;
     let horizon = fault_horizon(args, rounds)?;
@@ -860,63 +877,30 @@ fn cmd_check(args: &Args) -> Result<(), SpecError> {
     }
 }
 
-/// `kya profile` — run the flat+boxed profile matrix and write the
-/// schema-versioned `BENCH_flat.json` snapshot; or, with `--probe-out`,
-/// write the matrix's *deterministic* probe stream (the artifact the CI
-/// `metrics` job byte-diffs across `--threads`); or, with `--validate`,
-/// check an existing snapshot against the schema without running
-/// anything.
+/// `kya profile` — write the seeded flat matrix's *deterministic* probe
+/// stream to `--probe-out` (the artifact CI byte-diffs across
+/// `--threads` and pins to a golden hash).
 fn cmd_profile(args: &Args) -> Result<(), SpecError> {
     use kya_bench::profile::{self, ProfileConfig};
-    if let Some(path) = args.optional("validate") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| SpecError(format!("cannot read `{path}`: {e}")))?;
-        let doc = serde::Value::from_json(&text)
-            .map_err(|e| SpecError(format!("`{path}` is not JSON: {e}")))?;
-        profile::validate(&doc).map_err(SpecError)?;
-        println!(
-            "kya profile: `{path}` is a valid schema-v{} snapshot",
-            profile::SCHEMA_VERSION
-        );
-        return Ok(());
-    }
-    let mut cfg = if args.is_set("smoke") {
+    let path = args.required("probe-out")?;
+    let cfg = if args.is_set("smoke") {
         ProfileConfig::smoke()
     } else {
         ProfileConfig::full()
     };
-    let default_threads = cfg.threads.clone();
-    cfg.threads = args.usize_list_flag("threads", &default_threads)?;
-    if cfg.threads.contains(&0) {
+    let threads = args.usize_list_flag("threads", &[1])?;
+    if threads.contains(&0) {
         return Err(SpecError("--threads entries must be positive".into()));
     }
-    if let Some(path) = args.optional("probe-out") {
-        // Probe-stream mode runs at ONE thread count (the first of
-        // `--threads`) and writes only deterministic bytes, so two
-        // invocations differing in `--threads` must produce identical
-        // files.
-        let t = cfg.threads.first().copied().unwrap_or(1);
-        let stream = profile::probe_stream(&cfg, t);
-        std::fs::write(path, &stream)
-            .map_err(|e| SpecError(format!("cannot write probe stream to `{path}`: {e}")))?;
-        eprintln!(
-            "kya profile: {} probe lines written to {path}",
-            stream.lines().count()
-        );
-        return Ok(());
-    }
-    let doc = profile::run(&cfg);
-    profile::validate(&doc).map_err(SpecError)?;
-    let out = args.optional("out").unwrap_or("BENCH_flat.json");
-    std::fs::write(out, format!("{}\n", doc.to_json()))
-        .map_err(|e| SpecError(format!("cannot write snapshot to `{out}`: {e}")))?;
-    let cells = doc
-        .get("cells")
-        .and_then(serde::Value::as_seq)
-        .map_or(0, <[serde::Value]>::len);
-    println!(
-        "kya profile: wrote {out} ({cells} cells, schema v{})",
-        profile::SCHEMA_VERSION
+    // The stream runs at ONE thread count (the first of `--threads`) and
+    // holds only deterministic bytes, so two invocations differing in
+    // `--threads` must produce identical files.
+    let stream = profile::probe_stream(&cfg, threads.first().copied().unwrap_or(1));
+    std::fs::write(path, &stream)
+        .map_err(|e| SpecError(format!("cannot write probe stream to `{path}`: {e}")))?;
+    eprintln!(
+        "kya profile: {} probe lines written to {path}",
+        stream.lines().count()
     );
     Ok(())
 }
@@ -995,10 +979,7 @@ fn run() -> Result<(), SpecError> {
             cmd_check(&args)
         }
         "profile" => {
-            args.reject_unknown(
-                &kya_cmd,
-                &["out", "smoke", "threads", "probe-out", "validate"],
-            )?;
+            args.reject_unknown(&kya_cmd, &["smoke", "threads", "probe-out"])?;
             cmd_profile(&args)
         }
         "help" | "--help" | "-h" => {
@@ -1312,27 +1293,9 @@ mod tests {
     }
 
     #[test]
-    fn profile_subcommand_writes_and_validates_snapshots() {
-        let dir = std::env::temp_dir();
-        let out = dir.join("kya-cli-test-profile.json");
-        let a = args(&[
-            "--smoke",
-            "--threads",
-            "1",
-            "--out",
-            &out.display().to_string(),
-        ]);
-        assert!(cmd_profile(&a).is_ok());
-        // The written snapshot passes its own validator...
-        let a = args(&["--validate", &out.display().to_string()]);
-        assert!(cmd_profile(&a).is_ok());
-        // ...and a corrupted one is rejected with the offending key.
-        let text = std::fs::read_to_string(&out).unwrap();
-        std::fs::write(&out, text.replace("\"kind\":", "\"kin\":")).unwrap();
-        let err = cmd_profile(&a).unwrap_err();
-        assert!(err.0.contains("kind"), "{err}");
-        let _ = std::fs::remove_file(&out);
+    fn profile_subcommand_writes_probe_streams() {
         // Probe streams are byte-identical across thread counts.
+        let dir = std::env::temp_dir();
         let p1 = dir.join("kya-cli-test-probe1.ndjson");
         let p4 = dir.join("kya-cli-test-probe4.ndjson");
         for (path, t) in [(&p1, "1"), (&p4, "4")] {
@@ -1351,11 +1314,46 @@ mod tests {
         let _ = std::fs::remove_file(&p4);
         assert!(!s1.is_empty());
         assert_eq!(s1, s4, "probe stream depends on --threads");
-        // Zero threads and missing validate targets are rejected.
-        let a = args(&["--smoke", "--threads", "0"]);
-        assert!(cmd_profile(&a).is_err());
-        let a = args(&["--validate", "/nonexistent/kya-profile.json"]);
-        assert!(cmd_profile(&a).unwrap_err().0.contains("cannot read"));
+        // Zero threads and a missing `--probe-out` are rejected.
+        let a = args(&["--smoke", "--threads", "0", "--probe-out", "unused"]);
+        assert!(cmd_profile(&a).unwrap_err().0.contains("positive"));
+        let a = args(&["--smoke"]);
+        assert!(cmd_profile(&a).unwrap_err().0.contains("--probe-out"));
+    }
+
+    #[test]
+    fn pushsum_bound_below_n_is_rejected() {
+        for bound in ["2", "0"] {
+            let a = args(&["--n", "3", "--values", "1,2,3", "--bound", bound]);
+            let err = cmd_pushsum(&a).unwrap_err();
+            assert!(err.0.contains("at least n = 3"), "--bound {bound}: {err}");
+        }
+        let a = args(&["--n", "3", "--values", "1,2,3", "--bound", "x"]);
+        assert!(cmd_pushsum(&a).unwrap_err().0.contains("a number"));
+        let a = args(&[
+            "--n", "3", "--values", "1,2,3", "--rounds", "50", "--bound", "3",
+        ]);
+        assert!(cmd_pushsum(&a).is_ok());
+    }
+
+    #[test]
+    fn faults_zero_rounds_is_rejected() {
+        let a = args(&["--graph", "ring:4", "--values", "1,2,3,4", "--rounds", "0"]);
+        assert!(cmd_faults(&a).unwrap_err().0.contains("--rounds"));
+    }
+
+    #[test]
+    fn bandwidth_zero_rounds_is_rejected() {
+        let a = args(&[
+            "--graph", "biring:4", "--values", "1,2,3,4", "--rounds", "0",
+        ]);
+        assert!(cmd_bandwidth(&a).unwrap_err().0.contains("--rounds"));
+    }
+
+    #[test]
+    fn churn_zero_rounds_is_rejected() {
+        let a = args(&["--n", "4", "--values", "1,2,3,4", "--rounds", "0"]);
+        assert!(cmd_churn(&a).unwrap_err().0.contains("--rounds"));
     }
 
     #[test]
@@ -1365,6 +1363,9 @@ mod tests {
         assert!(cmd_sweep(&argv).is_err(), "unknown experiment rejected");
         let argv: Vec<String> = vec!["f6".into(), "--bogus".into()];
         assert!(cmd_sweep(&argv).is_err(), "unknown sweep flag rejected");
+        let argv: Vec<String> = vec!["f6".into(), "--engine".into(), "flat".into()];
+        let err = cmd_sweep(&argv).unwrap_err();
+        assert!(err.0.contains("--engine"), "{err}");
     }
 
     #[test]

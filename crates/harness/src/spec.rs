@@ -92,7 +92,7 @@ fn near_square(n: usize) -> (usize, usize) {
 /// The most agents plus edges [`parse_graph`] builds: a spec whose
 /// counts (computed from its parameters before anything is allocated)
 /// exceed it is a typed error instead of an allocation abort. It admits
-/// the 10⁶-agent flat sweeps (`random:1000000:2000000:SEED`, 4·10⁶).
+/// 10⁶-agent graphs such as `random:1000000:2000000:SEED` (4·10⁶).
 pub const GRAPH_BUDGET: usize = 1 << 24;
 
 /// Parse a graph spec (see module docs for the grammar).
@@ -598,7 +598,6 @@ pub const SWEEP_FLAGS: &[&str] = &[
     "seed",
     "rounds",
     "eps",
-    "engine",
     "workers",
     "ndjson",
     "json",
@@ -623,7 +622,6 @@ pub struct ExperimentSpec {
     rounds: u64,
     eps: f64,
     base_seed: u64,
-    engine: String,
 }
 
 /// One enumerated cell of an [`ExperimentSpec`]: the resolved axis
@@ -663,7 +661,6 @@ impl ExperimentSpec {
             rounds: 1000,
             eps: 1e-6,
             base_seed: 42,
-            engine: "boxed".to_string(),
         }
     }
 
@@ -735,25 +732,6 @@ impl ExperimentSpec {
         self
     }
 
-    /// Select the execution engine: `boxed` (the generic executor),
-    /// `flat` (the SoA/CSR executor for f64 algorithms on static
-    /// graphs), or `both` (experiments that compare them side by side).
-    /// Experiments that never consult the engine ignore it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other label; use [`ExperimentSpec::with_args`] for
-    /// fallible parsing of user input.
-    pub fn engine(mut self, e: impl Into<String>) -> ExperimentSpec {
-        let e = e.into();
-        assert!(
-            matches!(e.as_str(), "boxed" | "flat" | "both"),
-            "engine must be `boxed`, `flat`, or `both`, got `{e}`"
-        );
-        self.engine = e;
-        self
-    }
-
     /// Override axes and parameters from parsed sweep flags:
     /// `--topologies`, `--sizes`, `--seeds`, `--seed` (base seed; also
     /// the seed axis unless `--seeds` is given), `--rounds`, `--eps`.
@@ -792,14 +770,6 @@ impl ExperimentSpec {
         }
         self.rounds = args.u64_flag("rounds", self.rounds)?;
         self.eps = args.f64_flag("eps", self.eps)?;
-        if let Some(e) = args.optional("engine") {
-            if !matches!(e, "boxed" | "flat" | "both") {
-                return Err(err(format!(
-                    "--engine must be `boxed`, `flat`, or `both`, got `{e}`"
-                )));
-            }
-            self.engine = e.to_string();
-        }
         Ok(self)
     }
 
@@ -821,11 +791,6 @@ impl ExperimentSpec {
     /// The base seed.
     pub fn seed(&self) -> u64 {
         self.base_seed
-    }
-
-    /// The selected execution engine (`boxed`, `flat`, or `both`).
-    pub fn engine_label(&self) -> &str {
-        &self.engine
     }
 
     /// The size axis as configured (may be empty).
@@ -1164,25 +1129,6 @@ mod tests {
         let cells = spec.cells();
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].topology, "ring:3");
-    }
-
-    #[test]
-    fn engine_axis_parses_and_rejects() {
-        let spec = ExperimentSpec::new("t").topologies(["ring:{n}"]);
-        assert_eq!(spec.engine_label(), "boxed");
-        for engine in ["boxed", "flat", "both"] {
-            let argv: Vec<String> = ["--engine", engine].iter().map(|s| s.to_string()).collect();
-            let spec = ExperimentSpec::new("t")
-                .topologies(["ring:{n}"])
-                .with_args(&Args::parse(&argv))
-                .unwrap();
-            assert_eq!(spec.engine_label(), engine);
-        }
-        let argv: Vec<String> = ["--engine", "warp"].iter().map(|s| s.to_string()).collect();
-        let err = ExperimentSpec::new("t")
-            .topologies(["ring:{n}"])
-            .with_args(&Args::parse(&argv));
-        assert!(err.is_err());
     }
 
     #[test]

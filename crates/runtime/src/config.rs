@@ -173,17 +173,16 @@ impl<'a, A: Algorithm> RunConfig<'a, A> {
 }
 
 /// [`RunConfig`]'s flat twin, consumed by
-/// [`FlatExecution::drive`](crate::FlatExecution::drive) /
-/// [`drive_probed`](crate::FlatExecution::drive_probed).
+/// [`FlatExecution::drive`](crate::FlatExecution::drive).
 ///
 /// The flat executor's outputs are always `f64` and it runs on static
 /// graphs without observers or churn, so only the measurement knobs
 /// carry over: a round budget, a thread count, an optional distance
 /// functional with tolerance `eps` (judged post hoc over the whole
 /// trace, exactly like the boxed loop), and confirmed early stopping.
-/// Probing is orthogonal — pass a [`FlatProbe`](crate::FlatProbe) to
-/// `drive_probed` instead of a config knob, so the borrow of the probe
-/// stays outside the config.
+/// Probed rounds go through
+/// [`FlatExecution::step_probed`](crate::FlatExecution::step_probed)
+/// and [`run_probed`](crate::FlatExecution::run_probed).
 pub struct FlatRunConfig<'a> {
     pub(crate) rounds: u64,
     pub(crate) threads: usize,
@@ -207,7 +206,7 @@ impl<'a> FlatRunConfig<'a> {
     }
 
     /// Shard each round across `threads` workers. Bit-identical to
-    /// `threads = 1` at any count — probed or not.
+    /// `threads = 1` at any count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

@@ -303,17 +303,6 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
             + self.plan.resident_bytes()
     }
 
-    /// High-water mark of message bytes gathered into inboxes by any
-    /// executed round — zero before the first round, then one message
-    /// per inbox slot (every slot is re-gathered each round).
-    pub fn arena_high_water(&self) -> usize {
-        if self.round == 0 {
-            0
-        } else {
-            std::mem::size_of::<A::Msg>() * self.plan.slots()
-        }
-    }
-
     /// Execute one round sequentially.
     pub fn step(&mut self) {
         self.step_threads(1);
@@ -502,19 +491,9 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
     /// [`Execution::drive`](crate::Execution::drive): a round budget
     /// plus optional residual measurement, ε-convergence judged post
     /// hoc over the whole trace, and confirmed early stopping. Closes
-    /// the `RunConfig::measure` parity gap, so flat sweeps report
+    /// the `RunConfig::measure` parity gap, so flat runs report
     /// `converged_at` instead of only fixed budgets.
     pub fn drive(&mut self, cfg: FlatRunConfig<'_>) -> CellReport {
-        self.drive_probed(cfg, &mut NullProbe)
-    }
-
-    /// [`FlatExecution::drive`] with a [`FlatProbe`] attached to every
-    /// executed round.
-    pub fn drive_probed<P: FlatProbe>(
-        &mut self,
-        cfg: FlatRunConfig<'_>,
-        probe: &mut P,
-    ) -> CellReport {
         let FlatRunConfig {
             rounds,
             threads,
@@ -530,7 +509,7 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
                 // the boxed drive's `edge_count()`.
                 ledger.charge_round(self.plan.slots() as u64, cap.bits_per_edge());
             }
-            self.step_probed(threads, probe);
+            self.step_threads(threads);
             if trace.record(self.round, || self.outputs()) {
                 break;
             }

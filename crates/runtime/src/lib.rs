@@ -86,6 +86,5 @@ pub use probe::{
 };
 pub use report::CellReport;
 pub use telemetry::{
-    CountSummary, CountingObserver, Log2Histogram, NullObserver, Observer, ResidualObserver,
-    RoundEvent, TraceSink,
+    CountSummary, CountingObserver, NullObserver, Observer, ResidualObserver, RoundEvent, TraceSink,
 };

@@ -30,7 +30,6 @@
 //! `step_probed::<NullProbe>`, and the `flat_engine` bench guard pins
 //! the zero cost.
 
-use crate::telemetry::Log2Histogram;
 use serde::{Deserialize, Serialize};
 
 /// Plain counters accumulated by one shard of one phase of one round.
@@ -78,7 +77,7 @@ impl ShardCounters {
 pub struct PhaseTimes {
     /// Shard layout and span splitting.
     pub route_us: u64,
-    /// Phase 1: isotropic message computation + send-slot replication.
+    /// Phase 1: isotropic message computation, one message per agent.
     pub send_us: u64,
     /// Phase 2: inbox gather + transition fold.
     pub transition_us: u64,
@@ -235,15 +234,13 @@ fn fnv1a_u64(mut hash: u64, word: u64) -> u64 {
 }
 
 /// The workhorse probe: merged per-round counters, a bit-exact sample
-/// digest per round, a per-round message-volume [`Log2Histogram`], and
-/// the (separate, nondeterministic) accumulated [`PhaseTimes`].
+/// digest per round, and the (separate, nondeterministic) accumulated
+/// [`PhaseTimes`].
 #[derive(Clone, Debug, Default)]
 pub struct CountingProbe {
     summary: FlatProbeSummary,
     events: Vec<FlatRoundEvent>,
-    volume: Log2Histogram,
     timing: PhaseTimes,
-    shard_merges: u64,
     cur_send: ShardCounters,
     cur_gather: ShardCounters,
     cur_digest: u64,
@@ -268,23 +265,10 @@ impl CountingProbe {
         &self.events
     }
 
-    /// Histogram of per-round delivered message volume.
-    pub fn volume_histogram(&self) -> &Log2Histogram {
-        &self.volume
-    }
-
     /// Accumulated wall-clock phase breakdown — the timing block. Never
     /// include this in fingerprinted or NDJSON output.
     pub fn timing(&self) -> PhaseTimes {
         self.timing
-    }
-
-    /// Shard counter blocks merged (2 × shards per round). Like
-    /// [`timing`](CountingProbe::timing), this depends on the shard
-    /// layout — and therefore the thread count — so it is a diagnostic,
-    /// deliberately **not** part of [`FlatProbeSummary`] or the stream.
-    pub fn shard_merges(&self) -> u64 {
-        self.shard_merges
     }
 
     /// The deterministic probe stream: one JSON object per round.
@@ -309,12 +293,10 @@ impl FlatProbe for CountingProbe {
 
     fn on_send_shard(&mut self, _shard: usize, counters: &ShardCounters) {
         self.cur_send.merge(counters);
-        self.shard_merges += 1;
     }
 
     fn on_gather_shard(&mut self, _shard: usize, counters: &ShardCounters) {
         self.cur_gather.merge(counters);
-        self.shard_merges += 1;
     }
 
     fn on_lane_sample(&mut self, _round: u64, lane: usize, samples: &[f64]) {
@@ -332,7 +314,6 @@ impl FlatProbe for CountingProbe {
         self.summary.lane_writes += lane_writes;
         self.summary.arena_high_water_bytes =
             self.summary.arena_high_water_bytes.max(gather.arena_bytes);
-        self.volume.record_count(gather.messages_routed);
         self.events.push(FlatRoundEvent {
             round,
             messages_routed: gather.messages_routed,
@@ -397,10 +378,8 @@ mod tests {
         assert_eq!(s.messages_routed, 16);
         assert_eq!(s.lane_writes, 32 + 40);
         assert_eq!(s.arena_high_water_bytes, 256);
-        assert_eq!(p.shard_merges(), 3);
         assert_eq!(s.lane_samples, 2);
         assert_eq!(p.events().len(), 1);
-        assert_eq!(p.volume_histogram().count(4), 1, "16 messages → bucket 4");
         // The stream excludes timing and serializes stably.
         let ndjson = p.to_ndjson();
         assert!(ndjson.starts_with("{\"round\":1,"), "{ndjson}");

@@ -146,7 +146,7 @@ impl CellReport {
 
 /// The measurement side of a `drive` loop, shared by
 /// [`Execution::drive`](crate::Execution::drive) and
-/// [`FlatExecution::drive_probed`](crate::FlatExecution::drive_probed):
+/// [`FlatExecution::drive`](crate::FlatExecution::drive):
 /// it records the per-round distance trace, ends the run early, and
 /// seals the report.
 pub(crate) struct Trace<'a, O> {

@@ -384,133 +384,6 @@ impl<A: Algorithm> Observer<A> for TraceSink<A> {
     }
 }
 
-/// A deterministic fixed-bucket base-2 histogram over f64 magnitudes or
-/// integer counts.
-///
-/// Buckets are binary exponents: a finite non-zero sample `x` lands in
-/// bucket `e` iff `2^e <= |x| < 2^(e+1)`, read straight off the IEEE-754
-/// exponent bits (subnormals all collapse into the minimum exponent
-/// bucket, −1023). Zero and non-finite samples are tallied separately so
-/// the histogram never invents a magnitude for them. There is no
-/// floating-point arithmetic anywhere in the bucketing, so the histogram
-/// is bitwise reproducible across platforms, runs, and thread counts —
-/// it may appear in fingerprinted output (DESIGN.md §10).
-///
-/// The serde schema is stable by construction:
-/// `{"zeros": u, "non_finite": u, "buckets": [[exp, count], ...]}` with
-/// buckets sorted by ascending exponent and empty buckets omitted.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Log2Histogram {
-    zeros: u64,
-    non_finite: u64,
-    buckets: std::collections::BTreeMap<i32, u64>,
-}
-
-impl Log2Histogram {
-    /// An empty histogram.
-    pub fn new() -> Log2Histogram {
-        Log2Histogram::default()
-    }
-
-    /// Record one f64 sample by magnitude.
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
-            self.non_finite += 1;
-        } else if x == 0.0 {
-            self.zeros += 1;
-        } else {
-            let exp = ((x.to_bits() >> 52) & 0x7ff) as i32 - 1023;
-            *self.buckets.entry(exp).or_insert(0) += 1;
-        }
-    }
-
-    /// Record one non-negative integer count (`0` lands in `zeros`,
-    /// `c > 0` in bucket `floor(log2 c)`).
-    pub fn record_count(&mut self, c: u64) {
-        if c == 0 {
-            self.zeros += 1;
-        } else {
-            let exp = 63 - c.leading_zeros() as i32;
-            *self.buckets.entry(exp).or_insert(0) += 1;
-        }
-    }
-
-    /// Build a histogram over a slice of f64 samples.
-    pub fn from_values(values: &[f64]) -> Log2Histogram {
-        let mut h = Log2Histogram::new();
-        for &x in values {
-            h.record(x);
-        }
-        h
-    }
-
-    /// Total number of recorded samples.
-    pub fn total(&self) -> u64 {
-        self.zeros + self.non_finite + self.buckets.values().sum::<u64>()
-    }
-
-    /// Samples that were exactly zero.
-    pub fn zeros(&self) -> u64 {
-        self.zeros
-    }
-
-    /// Samples that were NaN or infinite.
-    pub fn non_finite(&self) -> u64 {
-        self.non_finite
-    }
-
-    /// Occupied `(exponent, count)` buckets in ascending exponent order.
-    pub fn buckets(&self) -> impl Iterator<Item = (i32, u64)> + '_ {
-        self.buckets.iter().map(|(&e, &c)| (e, c))
-    }
-
-    /// Count in the bucket of binary exponent `exp` (0 when empty).
-    pub fn count(&self, exp: i32) -> u64 {
-        self.buckets.get(&exp).copied().unwrap_or(0)
-    }
-
-    /// Largest occupied exponent, if any sample had a magnitude.
-    pub fn max_exponent(&self) -> Option<i32> {
-        self.buckets.keys().next_back().copied()
-    }
-}
-
-impl Serialize for Log2Histogram {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        let buckets = self
-            .buckets
-            .iter()
-            .map(|(&e, &c)| Value::Seq(vec![Value::Int(e as i64), Value::UInt(c)]))
-            .collect();
-        Value::Map(vec![
-            ("zeros".to_string(), Value::UInt(self.zeros)),
-            ("non_finite".to_string(), Value::UInt(self.non_finite)),
-            ("buckets".to_string(), Value::Seq(buckets)),
-        ])
-    }
-}
-
-impl Deserialize for Log2Histogram {
-    fn from_value(v: &serde::Value) -> Result<Log2Histogram, serde::Error> {
-        let zeros = u64::from_value(v.field("zeros")?)?;
-        let non_finite = u64::from_value(v.field("non_finite")?)?;
-        let pairs: Vec<(i64, u64)> = Vec::from_value(v.field("buckets")?)?;
-        let mut buckets = std::collections::BTreeMap::new();
-        for (e, c) in pairs {
-            let exp = i32::try_from(e).map_err(|_| serde::Error::custom("exponent overflow"))?;
-            if buckets.insert(exp, c).is_some() {
-                return Err(serde::Error::custom("duplicate histogram bucket"));
-            }
-        }
-        Ok(Log2Histogram {
-            zeros,
-            non_finite,
-            buckets,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,44 +518,5 @@ mod tests {
         let json = serde::to_json_string(&s);
         let back: CountSummary = serde::from_json_str(&json).expect("parses");
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn log2_histogram_buckets_by_binary_exponent() {
-        let mut h = Log2Histogram::new();
-        for &x in &[1.0, 1.5, 1.999, 2.0, 3.0, 0.5, -4.0, 0.0, f64::NAN] {
-            h.record(x);
-        }
-        assert_eq!(h.count(0), 3, "[1, 2) bucket");
-        assert_eq!(h.count(1), 2, "[2, 4) bucket");
-        assert_eq!(h.count(-1), 1, "[0.5, 1) bucket");
-        assert_eq!(h.count(2), 1, "magnitude bucketing ignores sign");
-        assert_eq!(h.zeros(), 1);
-        assert_eq!(h.non_finite(), 1);
-        assert_eq!(h.total(), 9);
-        assert_eq!(h.max_exponent(), Some(2));
-        // Subnormals collapse into the minimum exponent bucket.
-        h.record(f64::MIN_POSITIVE / 4.0);
-        assert_eq!(h.count(-1023), 1);
-    }
-
-    #[test]
-    fn log2_histogram_counts_and_schema_are_stable() {
-        let mut h = Log2Histogram::new();
-        for c in [0u64, 1, 2, 3, 4, 1024] {
-            h.record_count(c);
-        }
-        assert_eq!(h.zeros(), 1);
-        assert_eq!(h.count(0), 1, "count 1");
-        assert_eq!(h.count(1), 2, "counts 2 and 3");
-        assert_eq!(h.count(2), 1, "count 4");
-        assert_eq!(h.count(10), 1, "count 1024");
-        let json = serde::to_json_string(&h);
-        assert_eq!(
-            json,
-            r#"{"zeros":1,"non_finite":0,"buckets":[[0,1],[1,2],[2,1],[10,1]]}"#,
-        );
-        let back: Log2Histogram = serde::from_json_str(&json).expect("parses");
-        assert_eq!(back, h);
     }
 }

@@ -129,7 +129,7 @@ fn baseline_step<A: Algorithm>(algo: &A, states: &mut [A::State], graph: &Digrap
 /// (`KYA_TIMING_ASSERT=1` armed a median-of-9 `step` vs baseline timing
 /// assert). That gate is retired: wall-clock now lives in the separate
 /// timing channel — the `flat_engine` bench's probe-overhead group and
-/// the `phase_us` block of `kya profile` — and never inside a functional
+/// the repo benchmark's `runtime.*` metrics — and never inside a functional
 /// test, which keeps `cargo test` load-insensitive. Only the
 /// unconditional state-equality check remains.
 #[test]
